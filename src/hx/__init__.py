@@ -22,6 +22,7 @@ from .errors import (
     DimensionError,
     DocumentError,
     EnumerationCapError,
+    InternalError,
     NotConnectedError,
     UnicyclizerAxiomError,
 )
@@ -61,6 +62,7 @@ from .spanning import (
 from .verify import (
     VerificationReport,
     connected_multigraphs,
+    cycletree_sum,
     exhaustive_family,
     verify_counts,
     verify_energy_min,
@@ -76,6 +78,7 @@ from .winding import (
     cycletree_windings,
     delete_unicyclization,
     extended_winding,
+    face_lattice_basis,
     from_cw,
     harmonic_to_unicyclizer,
     new_unicyclization,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or all checks passed), 1 verification failure,
 2 input error (bad usage, unreadable file, malformed document, invalid
-instance). Rationals are emitted as exact strings in lowest terms.
+instance), 3 internal error (a failed invariant or an unexpected
+exception). Rationals are emitted as exact strings in lowest terms.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .complexes import complex_from_boundaries, homology_group
 from .documents import build_graph, build_unicyclization, parse_document, unicyclizer_columns
 from .errors import DocumentError, EnumerationCapError, NotConnectedError, UnicyclizerAxiomError
 from .graphs import corank, incidence_matrix, require_connected
-from .spanning import cycletrees, spanning_trees, tree_number
+from .spanning import check_enumeration_cap, cycletrees, spanning_trees, tree_number
 from .verify import (
     DEFAULT_SEED,
     verify_counts,
@@ -58,10 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     hom.add_argument("--dim", type=int, default=1)
     lam = add("lambda", "the standard harmonic cycle with tree count and torsion")
     lam.add_argument("--raw-sign", action="store_true", dest="raw_sign")
-    lam.add_argument("--cap", type=int, default=None)
     wind = add("winding", "winding number of a chain (rational for non-cycles)")
     wind.add_argument("--chain", required=True, help="comma-separated integer coefficients in edge order")
-    wind.add_argument("--cap", type=int, default=None)
     split = add("split", "standard harmonic cycle split at an edge")
     split.add_argument("--edge", type=int, required=True)
     split.add_argument("--raw-sign", action="store_true", dest="raw_sign")
@@ -108,6 +107,7 @@ def _cmd_cycletrees(doc, args) -> tuple[dict, int]:
     require_connected(g)
     if corank(g) == 0 and doc.unicyclizer is None and doc.faces is None:
         return {"count": 0, "cycletrees": []}, 0
+    check_enumeration_cap(g, args.cap)
     a = build_unicyclization(doc)
     items = [
         {"edges": sorted(ct.edge_ids), "cycle": list(ct.cycle), "winding": w}
@@ -132,7 +132,7 @@ def _cmd_homology(doc, args) -> tuple[dict, int]:
 
 def _cmd_lambda(doc, args) -> tuple[dict, int]:
     a = build_unicyclization(doc)
-    lam = standard_harmonic_cycle(a, args.cap)
+    lam = standard_harmonic_cycle(a)
     if not args.raw_sign:
         lam = sign_normalized(lam)
     return {"lambda": list(lam), "k": a.tree_count, "tau": a.torsion_order}, 0
@@ -146,11 +146,12 @@ def _cmd_winding(doc, args) -> tuple[dict, int]:
         raise DocumentError(f"--chain: expected comma-separated integers: {exc}") from exc
     if len(chain) != len(doc.edges):
         raise DocumentError(f"--chain: expected {len(doc.edges)} coefficients, got {len(chain)}")
-    report = winding_report(a, chain, args.cap)
+    report = winding_report(a, chain)
     return {"value": _rational(report.value), "cycle": report.is_cycle}, 0
 
 
 def _cmd_split(doc, args) -> tuple[dict, int]:
+    check_enumeration_cap(build_graph(doc), args.cap)
     a = build_unicyclization(doc)
     with_edge, without_edge = split_standard_cycle(a, args.edge, args.cap)
     if not args.raw_sign:
@@ -170,7 +171,10 @@ def _cmd_verify(doc, args) -> tuple[dict, int]:
     if args.run_all or not names:
         names = list(VERIFY_CHECKS)
     g = build_graph(doc)
-    instance = build_unicyclization(doc) if set(names) - {"counts"} else None
+    instance = None
+    if set(names) - {"counts"}:
+        check_enumeration_cap(g, args.cap)
+        instance = build_unicyclization(doc)
     reports = []
     for name in names:
         if name == "counts":
@@ -178,9 +182,9 @@ def _cmd_verify(doc, args) -> tuple[dict, int]:
         elif name == "inner_product":
             reports.append(verify_inner_product(instance, seed=args.seed, cap=args.cap))
         elif name == "harmonicity":
-            reports.append(verify_harmonicity(instance, cap=args.cap))
+            reports.append(verify_harmonicity(instance))
         elif name == "energy":
-            reports.append(verify_energy_min(instance, seed=args.seed, cap=args.cap))
+            reports.append(verify_energy_min(instance, seed=args.seed))
     overall = all(r.overall for r in reports)
     payload = {
         "overall": overall,
@@ -217,6 +221,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"hx: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # InternalError or a bug: neither the input nor a failed check
+        import traceback  # only here: importing it costs every hx process start-up time and memory
+
+        print(f"hx: internal error: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
     print(json.dumps(payload))
     return code
 

@@ -4,8 +4,8 @@ A document carries a multigraph (vertex count plus an ordered edge list)
 and at most one of:
 
 * ``unicyclizer`` — explicit integer columns, each of length |E|;
-* ``faces`` — boundary columns of 2-cells, from which a maximal independent
-  subset is extracted.
+* ``faces`` — boundary columns of 2-cells, from which a Z-basis of the
+  lattice they span is extracted.
 
 Neither key means the empty unicyclizer. An optional ``basis_tree`` pins
 the spanning tree behind the cycle-space basis. All vectors are indexed in
@@ -21,7 +21,7 @@ from .errors import DocumentError
 from .graphs import Multigraph
 from .intlinalg import IntMatrix
 from .spanning import fundamental_basis
-from .winding import Unicyclization, new_unicyclization, select_independent_columns
+from .winding import Unicyclization, face_lattice_basis, new_unicyclization
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,9 @@ def build_graph(doc: ComplexDocument) -> Multigraph:
 
 
 def unicyclizer_columns(doc: ComplexDocument) -> IntMatrix:
-    """The document's unicyclizer: explicit, extracted from faces, or empty."""
+    """The document's unicyclizer: explicit, a basis of the faces' lattice, or empty."""
     if doc.faces is not None:
-        return select_independent_columns(doc.faces)
+        return face_lattice_basis(doc.faces)
     if doc.unicyclizer is not None:
         return doc.unicyclizer
     return IntMatrix.zero(len(doc.edges), 0)

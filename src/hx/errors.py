@@ -28,3 +28,7 @@ class UnicyclizerAxiomError(ValueError):
 
 class DocumentError(ValueError):
     """A complex document failed to parse or validate."""
+
+
+class InternalError(RuntimeError):
+    """An invariant the library relies on failed: a bug, not bad input."""

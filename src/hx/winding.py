@@ -5,19 +5,21 @@ columns, killed by the incidence matrix, whose image leaves exactly one
 free factor in the cycle space. The pair (graph, unicyclizer) behaves like
 a cell complex whose first homology has rank one: every cycle gets an
 integer winding number (a determinant in cycle-space coordinates), and the
-cycletree-weighted sum of winding numbers is a nonzero harmonic cycle.
+cycletree-weighted sum of winding numbers is a nonzero harmonic cycle. That
+sum is computed here in closed form from the cycle basis; the enumerated sum
+is kept in ``verify`` as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import prod
 from typing import Sequence
 
 from .complexes import ChainComplex, complex_from_boundaries
-from .errors import DimensionError, UnicyclizerAxiomError
+from .errors import DimensionError, InternalError, UnicyclizerAxiomError
 from .graphs import (
     Multigraph,
     contract,
@@ -78,6 +80,42 @@ class Unicyclization:
     def complex(self) -> ChainComplex:
         """The two-step chain complex (vertices, edges, unicyclizer columns)."""
         return complex_from_boundaries(incidence_matrix(self.graph), self.partial)
+
+    @cached_property
+    def standard_cycle(self) -> tuple[int, ...]:
+        """The standard harmonic cycle, in closed form, computed on first use.
+
+        With B the stored basis and P the unicyclizer's coordinates, the
+        winding covector c_i = w(b_i) = det[e_i | P] and the Gram matrix
+        G = B^T B, whose determinant is the tree count k for any Z-basis of
+        the cycle lattice, give lambda = B adj(G) c. Then b_i . lambda =
+        (G adj(G) c)_i = k c_i, which is the identity C . lambda = w(C) k on
+        a basis, and lambda is a cycle; the cycle space's inner product being
+        nondegenerate, these pin down the cycletree sum. adj(G) c is taken
+        by Cramer's rule: its j-th entry is det G with column j replaced by c.
+        """
+        m = self.cycle_rank
+        p_columns = [self.partial_coords.column(j) for j in range(self.partial_coords.cols)]
+        covector = []
+        for i in range(m):
+            unit = [1 if r == i else 0 for r in range(m)]
+            covector.append(det(IntMatrix.from_columns([unit] + p_columns, rows=m)))
+        # G is symmetric, so its rows serve as its columns below.
+        gram = [[dot(u, v) for v in self.basis] for u in self.basis]
+        gram_det = det(IntMatrix.from_columns(gram, rows=m))
+        if gram_det != self.tree_count:
+            raise InternalError(f"Gram determinant {gram_det} of the cycle basis != tree count {self.tree_count}")
+        coeffs = [
+            det(IntMatrix.from_columns(gram[:j] + [covector] + gram[j + 1 :], rows=m))
+            for j in range(m)
+        ]
+        total = [0] * self.graph.edge_count
+        for a, z in zip(coeffs, self.basis):
+            if a:
+                for e, v in enumerate(z):
+                    if v:
+                        total[e] += a * v
+        return tuple(total)
 
 
 @dataclass(frozen=True)
@@ -173,11 +211,29 @@ def select_independent_columns(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns([m.column(c) for c in kept], rows=m.rows)
 
 
+def face_lattice_basis(faces: IntMatrix) -> IntMatrix:
+    """Z-basis of the lattice that all the face columns span.
+
+    The greedy independent subset when it generates every face over Z, so
+    the presentation is kept; otherwise the Smith basis d_i S e_i of the
+    column lattice (faces = S D T with T unimodular). Either way the torsion
+    matches the homology of the complex with all the faces.
+    """
+    kept = select_independent_columns(faces)
+    for j in range(faces.cols):
+        if any(x.denominator != 1 for x in solve_exact(kept, faces.column(j))):
+            snf = smith_normal_form(faces)
+            columns = [[d * x for x in snf.s.column(i)] for i, d in enumerate(snf.diag)]
+            return IntMatrix.from_columns(columns, rows=faces.rows)
+    return kept
+
+
 def from_cw(x: ChainComplex) -> Unicyclization:
     """Build a unicyclization from a complex whose first homology has rank 1.
 
     The 1-skeleton is reconstructed from the first boundary matrix and the
-    unicyclizer is a maximal independent column subset of the second one.
+    unicyclizer is a Z-basis of the lattice spanned by the second one's
+    columns, see ``face_lattice_basis``.
     A zero incidence column is a loop, which is only placeable when the
     complex has a single vertex.
     """
@@ -205,7 +261,7 @@ def from_cw(x: ChainComplex) -> Unicyclization:
     h1_rank = corank(g) - rank(faces)
     if h1_rank != 1:
         raise ValueError(f"first homology has rank {h1_rank}, expected 1")
-    return new_unicyclization(g, select_independent_columns(faces))
+    return new_unicyclization(g, face_lattice_basis(faces))
 
 
 def cycle_coordinates(a: Unicyclization, chain: Sequence[int]) -> tuple[int, ...]:
@@ -242,32 +298,33 @@ def torsion(a: Unicyclization) -> tuple[int, tuple[int, ...]]:
     return a.torsion_order, a.torsion_factors
 
 
-@lru_cache(maxsize=None)
-def _cycletree_windings(a: Unicyclization) -> tuple[int, ...]:
-    return tuple(winding_number(a, ct.cycle) for ct in cycletrees(a.graph, cap=None))
-
-
 def cycletree_windings(a: Unicyclization, cap: int | None = None) -> tuple[int, ...]:
-    """Winding numbers of the unique cycles, aligned with ``cycletrees``."""
-    check_enumeration_cap(a.graph, cap)
-    return _cycletree_windings(a)
+    """Winding numbers of the unique cycles, aligned with ``cycletrees``.
+
+    Each is cycle . lambda / k, an exact division by the inner-product
+    identity; a remainder means the closed form is wrong.
+    """
+    trees = cycletrees(a.graph, cap)
+    lam, k = standard_harmonic_cycle(a), a.tree_count
+    windings = []
+    for ct in trees:
+        w, remainder = divmod(dot(ct.cycle, lam), k)
+        if remainder:
+            raise InternalError(f"cycle {list(ct.cycle)} has non-integral winding {dot(ct.cycle, lam)}/{k}")
+        windings.append(w)
+    return tuple(windings)
 
 
-def standard_harmonic_cycle(a: Unicyclization, cap: int | None = None) -> tuple[int, ...]:
+def standard_harmonic_cycle(a: Unicyclization) -> tuple[int, ...]:
     """Sum of winding-number-weighted unique cycles over all cycletrees.
 
-    Each summand is orientation-invariant, so the result does not depend on
-    the canonical cycle orientations; it does flip with the basis, see
-    ``sign_normalized`` for a presentation-stable variant.
+    Computed in closed form without enumeration, see
+    ``Unicyclization.standard_cycle``; ``verify.cycletree_sum`` is the
+    enumerated oracle. Each summand is orientation-invariant, so the result
+    does not depend on the canonical cycle orientations; it does flip with
+    the basis, see ``sign_normalized`` for a presentation-stable variant.
     """
-    check_enumeration_cap(a.graph, cap)
-    total = [0] * a.graph.edge_count
-    for ct, w in zip(cycletrees(a.graph, cap), _cycletree_windings(a)):
-        if w:
-            for e, c in enumerate(ct.cycle):
-                if c:
-                    total[e] += w * c
-    return tuple(total)
+    return a.standard_cycle
 
 
 def standard_harmonic_cycle_grouped(a: Unicyclization, cap: int | None = None) -> tuple[int, ...]:
@@ -302,10 +359,10 @@ def split_standard_cycle(a: Unicyclization, edge: int, cap: int | None = None) -
     two add up to the full standard harmonic cycle.
     """
     a.graph.check_edge(edge)
-    check_enumeration_cap(a.graph, cap)
+    windings = cycletree_windings(a, cap)
     with_edge = [0] * a.graph.edge_count
     without_edge = [0] * a.graph.edge_count
-    for ct, w in zip(cycletrees(a.graph, cap), _cycletree_windings(a)):
+    for ct, w in zip(cycletrees(a.graph, cap), windings):
         if not w:
             continue
         target = with_edge if edge in ct.edge_ids else without_edge
@@ -404,7 +461,8 @@ def _delete_with_tree(a: Unicyclization, edge: int, tree: frozenset[int], n_sigm
     if columns[ncols - 1][last] < 0:
         columns[ncols - 1] = [-v for v in columns[ncols - 1]]
         det_u = -det_u
-    assert columns[ncols - 1][last] == n_sigma
+    if columns[ncols - 1][last] != n_sigma:
+        raise InternalError(f"column reduction left {columns[ncols - 1][last]} at the deleted edge, expected {n_sigma}")
 
     negate_basis = False
     if det_u * eps != 1:
@@ -463,7 +521,7 @@ def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization,
     return result, n_sigma
 
 
-def extended_winding(a: Unicyclization, chain: Sequence, cap: int | None = None) -> Fraction:
+def extended_winding(a: Unicyclization, chain: Sequence) -> Fraction:
     """Rational winding value of an arbitrary 1-chain.
 
     Inner product with the standard harmonic cycle divided by the tree
@@ -471,11 +529,10 @@ def extended_winding(a: Unicyclization, chain: Sequence, cap: int | None = None)
     """
     if len(chain) != a.graph.edge_count:
         raise DimensionError(f"chain length {len(chain)} != {a.graph.edge_count} edges")
-    lam = standard_harmonic_cycle(a, cap)
-    return Fraction(dot(chain, lam), a.tree_count)
+    return Fraction(dot(chain, standard_harmonic_cycle(a)), a.tree_count)
 
 
-def winding_report(a: Unicyclization, chain: Sequence, cap: int | None = None) -> WindingReport:
+def winding_report(a: Unicyclization, chain: Sequence) -> WindingReport:
     """Evaluate a chain: integer winding for cycles, rational otherwise."""
     is_cycle = all(type(x) is int for x in chain) and all(
         v == 0 for v in mat_vec(incidence_matrix(a.graph), chain)
@@ -483,7 +540,7 @@ def winding_report(a: Unicyclization, chain: Sequence, cap: int | None = None) -
     if is_cycle:
         value: int | Fraction = winding_number(a, chain)
     else:
-        value = extended_winding(a, chain, cap)
+        value = extended_winding(a, chain)
     return WindingReport(value=value, chain=tuple(chain), basis_used=a.basis_label, is_cycle=is_cycle)
 
 

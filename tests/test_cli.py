@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hx import cli
 from hx.cli import main
+from hx.errors import InternalError
 
 THETA_DOC = '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[1,-1,0]]}'
 TORSION_DOC = '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[2,-2,0]]}'
@@ -181,3 +183,36 @@ def test_disconnected_graph_is_input_error(tmp_path, capsys):
     path.write_text('{"vertices":2,"edges":[]}')
     code, _, err = run(capsys, "lambda", str(path))
     assert code == 2 and "connected" in err
+
+
+def test_enumeration_cap_checked_before_build(tmp_path, capsys):
+    # 20 edges, and the unicyclizer column is not a cycle (axiom 2 fails).
+    edges = [[i, (i + d) % 10] for i in range(10) for d in (1, 2)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"vertices": 10, "edges": edges, "unicyclizer": [[1] + [0] * 19]}))
+    for argv in (["cycletrees"], ["split", "--edge", "0"], ["verify", "harmonicity"]):
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert "enumeration cap" in err and "axiom" not in err
+
+
+@pytest.mark.parametrize("failure", [InternalError("Gram determinant 4 != tree count 3"), AssertionError("bug")])
+def test_internal_error_exit_code(theta_file, capsys, monkeypatch, failure):
+    def broken(a):
+        raise failure
+
+    monkeypatch.setattr(cli, "standard_harmonic_cycle", broken)
+    code, payload, err = run(capsys, "lambda", theta_file)
+    assert code == 3 and payload is None
+    assert err.startswith(f"hx: internal error: {failure}\n")
+
+
+def test_faces_tau_matches_homology(tmp_path, capsys):
+    path = tmp_path / "faces.json"
+    path.write_text('{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"faces":[[2,-2,0],[3,-3,0]]}')
+    _, payload, _ = run(capsys, "validate", str(path))
+    assert payload["valid"] is True and payload["tau"] == 1
+    _, payload, _ = run(capsys, "lambda", str(path))
+    assert payload == {"lambda": [1, 1, -2], "k": 3, "tau": 1}
+    _, payload, _ = run(capsys, "homology", str(path), "--dim", "1")
+    assert payload == {"dim": 1, "rank": 1, "torsion": []}

@@ -8,7 +8,7 @@ from hx.errors import DimensionError, EnumerationCapError, UnicyclizerAxiomError
 from hx.graphs import Multigraph, classify_edge, EdgeKind, contract_edges, incidence_matrix
 from hx.intlinalg import IntMatrix, dot, gcd_of_vector, mat_vec, solve_exact
 from hx.spanning import cycletrees, spanning_trees, tree_number
-from hx.verify import exhaustive_family
+from hx.verify import cycletree_sum, exhaustive_family
 from hx.winding import (
     check_axioms,
     contract_unicyclization,
@@ -127,7 +127,9 @@ def test_cycletree_windings_theta():
 
 def test_standard_cycle_respects_cap():
     with pytest.raises(EnumerationCapError):
-        standard_harmonic_cycle(theta_instance(), cap=2)
+        cycletree_sum(theta_instance(), cap=2)
+    with pytest.raises(EnumerationCapError):
+        cycletree_windings(theta_instance(), cap=2)
 
 
 def test_grouped_equals_plain_on_family():
