@@ -40,6 +40,7 @@ from .intlinalg import (
     smith_normal_form,
     solve_exact,
     vstack,
+    _echelon,
     _primitive,
 )
 from .spanning import (
@@ -47,7 +48,6 @@ from .spanning import (
     cycletrees,
     fundamental_basis,
     lexmin_spanning_tree,
-    spanning_trees,
     tree_number,
 )
 
@@ -100,6 +100,9 @@ class Unicyclization:
         for i in range(m):
             unit = [1 if r == i else 0 for r in range(m)]
             covector.append(det(IntMatrix.from_columns([unit] + p_columns, rows=m)))
+        # Expanding det[e_i | P] along its first column, gcd(c) is the gcd of P's maximal minors: tau.
+        if gcd_of_vector(covector) != self.torsion_order:
+            raise InternalError(f"winding covector gcd {gcd_of_vector(covector)} != torsion order {self.torsion_order}")
         # G is symmetric, so its rows serve as its columns below.
         gram = [[dot(u, v) for v in self.basis] for u in self.basis]
         gram_det = det(IntMatrix.from_columns(gram, rows=m))
@@ -201,13 +204,11 @@ def new_unicyclization(g: Multigraph, partial: IntMatrix, basis_tree=None) -> Un
 
 
 def select_independent_columns(m: IntMatrix) -> IntMatrix:
-    """Greedy maximal linearly independent column subset, by column order."""
-    kept: list[int] = []
-    for j in range(m.cols):
-        candidate = kept + [j]
-        sub = IntMatrix.from_columns([m.column(c) for c in candidate], rows=m.rows)
-        if rank(sub) == len(candidate):
-            kept = candidate
+    """Greedy maximal linearly independent column subset, by column order.
+
+    That subset is exactly the pivot columns of the echelon form.
+    """
+    kept = _echelon(m)[1]
     return IntMatrix.from_columns([m.column(c) for c in kept], rows=m.rows)
 
 
@@ -424,17 +425,31 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x0, y0
 
 
-def _delete_with_tree(a: Unicyclization, edge: int, tree: frozenset[int], n_sigma: int, force: bool):
-    """Attempt the deletion construction over one tree avoiding the edge.
+def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization, int]:
+    """Delete an edge whose unicyclizer row is nonzero.
 
-    Column-reduces the unicyclizer coordinates so the deleted edge's row
-    becomes (0, ..., 0, n_sigma), keeping track of determinant signs so the
-    winding relation holds against the parent's own basis. Returns None
-    when the sign cannot be matched with this tree (only possible with a
-    single unicyclizer column) unless ``force`` is set, in which case the
-    transported basis chain is negated to absorb the sign.
+    Returns the induced unicyclization on the smaller graph and the winding
+    difference n, with the exact relation: for every cycle with zero
+    coefficient at the edge, its winding number equals n times the winding
+    number of the transported cycle downstairs.
+
+    The basis comes from the lexmin spanning tree of the smaller graph. The
+    unicyclizer coordinates are column-reduced so the deleted edge's row
+    becomes (0, ..., 0, n), keeping track of determinant signs so the
+    relation holds against the parent's own basis. With a single
+    unicyclizer column the sign cannot be absorbed by the columns, so the
+    transported basis is negated instead.
     """
     g = a.graph
+    g.check_edge(edge)
+    n_sigma = winding_difference(a, edge)
+    if n_sigma == 0:
+        raise ValueError(
+            "unicyclizer row at the edge is zero: deleting it would kill the free homology factor"
+        )
+    smaller, relabeling = delete(g, edge)
+    old_edge = {new: old for old, new in relabeling.edges.items()}
+    tree = frozenset(old_edge[e] for e in lexmin_spanning_tree(smaller))
     m = a.cycle_rank
     cycle_basis = fundamental_basis(g, tree)
     chain_by_edge = dict(zip(cycle_basis.non_tree_edges, cycle_basis.cycles))
@@ -468,13 +483,9 @@ def _delete_with_tree(a: Unicyclization, edge: int, tree: frozenset[int], n_sigm
     if det_u * eps != 1:
         if ncols >= 2:
             columns[0] = [-v for v in columns[0]]
-            det_u = -det_u
-        elif force:
-            negate_basis = True
         else:
-            return None
+            negate_basis = True
 
-    smaller, relabeling = delete(g, edge)
     transported = [relabeling.transport_chain(z) for z in ordered_chains[:-1]]
     if negate_basis:
         transported = [tuple(-c for c in z) for z in transported]
@@ -486,39 +497,10 @@ def _delete_with_tree(a: Unicyclization, edge: int, tree: frozenset[int], n_sigm
     read_off = None
     if not negate_basis:
         read_off = tuple(relabeling.edges[e] for e in order[:-1])
-    return _assemble(
-        smaller,
-        partial_d,
-        tuple(transported),
-        f"delete({edge}) of {a.basis_label}",
-        read_off_edges=read_off,
+    deleted = _assemble(
+        smaller, partial_d, tuple(transported), f"delete({edge}) of {a.basis_label}", read_off_edges=read_off
     )
-
-
-def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization, int]:
-    """Delete an edge whose unicyclizer row is nonzero.
-
-    Returns the induced unicyclization on the smaller graph and the winding
-    difference n, with the exact relation: for every cycle with zero
-    coefficient at the edge, its winding number equals n times the winding
-    number of the transported cycle downstairs.
-    """
-    g = a.graph
-    g.check_edge(edge)
-    n_sigma = winding_difference(a, edge)
-    if n_sigma == 0:
-        raise ValueError(
-            "unicyclizer row at the edge is zero: deleting it would kill the free homology factor"
-        )
-    candidate_trees = [t for t in spanning_trees(g) if edge not in t]
-    result = None
-    for tree in candidate_trees:
-        result = _delete_with_tree(a, edge, tree, n_sigma, force=False)
-        if result is not None:
-            break
-    if result is None:
-        result = _delete_with_tree(a, edge, candidate_trees[0], n_sigma, force=True)
-    return result, n_sigma
+    return deleted, n_sigma
 
 
 def extended_winding(a: Unicyclization, chain: Sequence) -> Fraction:
@@ -570,7 +552,7 @@ def harmonic_to_unicyclizer(
         if dot(chain, faces.column(j)) != 0:
             raise ValueError(f"chain is not orthogonal to face column {j} (not harmonic)")
 
-    direction = _primitive([Fraction(c) for c in chain])
+    direction = _primitive(chain)
     stacked = vstack(incid, IntMatrix.from_rows([list(direction)]))
     lattice = kernel_lattice_basis(stacked)
     coord_columns = []

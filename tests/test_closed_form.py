@@ -83,6 +83,48 @@ def test_gram_check_raises_internal_error():
         standard_harmonic_cycle(dataclasses.replace(a, tree_count=a.tree_count + 1))
 
 
+def test_torsion_check_raises_internal_error():
+    a = new_unicyclization(Multigraph(2, ((0, 1), (0, 1), (0, 1))), IntMatrix.from_columns([[2, -2, 0]]))
+    assert a.torsion_order == 2
+    with pytest.raises(InternalError):
+        standard_harmonic_cycle(dataclasses.replace(a, torsion_order=1))
+
+
+def test_deletion_past_the_enumeration_cap():
+    """Every deletable edge of the 18-edge circulant (i, i+1), (i, i+2) mod 9.
+
+    The simple cycles of g - edge are the unique cycles of the cycletrees of
+    g that avoid the edge, so the closed-form windings z.lambda/k checked
+    here are those ``cycletree_windings`` lists, once per distinct cycle.
+    """
+    n = 9
+    edges = tuple(e for i in range(n) for e in ((i, (i + 1) % n), (i, (i + 2) % n)))
+    g = Multigraph(n, edges)
+    rng = random.Random(3)
+    partial = None
+    while partial is None:
+        partial = random_unicyclizer(g, lambda size: [rng.randint(-2, 2) for _ in range(size)])
+    a = new_unicyclization(g, partial)
+    cycles = {ct.cycle for ct in cycletrees(g, cap=g.edge_count)}
+    deleted = 0
+    for edge in range(g.edge_count):
+        n_sigma = winding_difference(a, edge)
+        if n_sigma == 0:
+            continue
+        smaller, n2 = delete_unicyclization(a, edge)
+        assert n2 == n_sigma
+        lam, k = standard_harmonic_cycle(smaller), smaller.tree_count
+        for z in cycles:
+            if z[edge]:
+                continue
+            transported = tuple(c for e, c in enumerate(z) if e != edge)
+            w = winding_number(smaller, transported)
+            assert winding_number(a, z) == n_sigma * w
+            assert dot(transported, lam) == k * w
+        deleted += 1
+    assert deleted > 0
+
+
 def test_cli_past_the_enumeration_cap(tmp_path, capsys):
     n = 20
     edges = tuple(e for i in range(n) for e in ((i, (i + 1) % n), (i, (i + 2) % n)))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -145,6 +146,20 @@ def test_solve_exact_unique_and_inconsistent():
     a = IntMatrix.from_columns([[1, 0, 1], [0, 1, 1]])
     assert solve_exact(a, [2, 3, 5]) == [2, 3]
     assert solve_exact(a, [2, 3, 6]) is None
+
+
+@pytest.mark.parametrize("entry", [Fraction(3, 2), 0.9, Fraction(-1, 2), Fraction(2, 1), True])
+def test_constructors_reject_non_integer_entries(entry):
+    with pytest.raises(DimensionError):
+        IntMatrix.from_rows([[1, entry]])
+    with pytest.raises(DimensionError):
+        IntMatrix.from_columns([[1, entry]])
+
+
+def test_solve_exact_rejects_non_integer_rhs():
+    a = IntMatrix.from_columns([[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(DimensionError):
+        solve_exact(a, [Fraction(1, 2), 0, Fraction(1, 2)])
 
 
 def test_invert_unimodular_round_trip():
