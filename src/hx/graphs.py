@@ -79,24 +79,31 @@ def incidence_matrix(g: Multigraph) -> IntMatrix:
     return IntMatrix(n, m, tuple(entries))
 
 
-def _reachable(vertex_count: int, edge_pairs: Sequence[tuple[int, int]], start: int = 0) -> set[int]:
+def _spans(vertex_count: int, edge_pairs: Sequence[tuple[int, int]]) -> bool:
+    """True when the edges connect all the vertices.
+
+    Fewer than V - 1 edges cannot, which is answered before any per-vertex
+    work, so a huge vertex count with few edges fails fast.
+    """
+    if len(edge_pairs) < vertex_count - 1:
+        return False
     adjacency: dict[int, list[int]] = {v: [] for v in range(vertex_count)}
     for t, h in edge_pairs:
         adjacency[t].append(h)
         adjacency[h].append(t)
-    seen = {start}
-    stack = [start]
+    seen = {0}
+    stack = [0]
     while stack:
         v = stack.pop()
         for w in adjacency[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return seen
+    return len(seen) == vertex_count
 
 
 def is_connected(g: Multigraph) -> bool:
-    return len(_reachable(g.vertex_count, g.edges)) == g.vertex_count
+    return _spans(g.vertex_count, g.edges)
 
 
 def require_connected(g: Multigraph) -> None:
@@ -106,8 +113,7 @@ def require_connected(g: Multigraph) -> None:
 
 def spanning_subgraph_connected(g: Multigraph, edge_ids) -> bool:
     """True when the subgraph on the given edges reaches every vertex."""
-    pairs = [g.edges[e] for e in edge_ids]
-    return len(_reachable(g.vertex_count, pairs)) == g.vertex_count
+    return _spans(g.vertex_count, [g.edges[e] for e in edge_ids])
 
 
 def delete(g: Multigraph, edge: int) -> tuple[Multigraph, EdgeRelabeling]:

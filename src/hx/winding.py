@@ -56,18 +56,21 @@ from .spanning import (
 class Unicyclization:
     """A validated (graph, unicyclizer) pair with its cached derived data.
 
-    ``basis`` is a Z-basis of the cycle lattice; for fundamental bases the
-    coordinates of a cycle are read off at ``read_off_edges``, otherwise
-    they are recovered by exact solving. ``partial_coords`` is the
-    unicyclizer expressed in that basis, and ``torsion_factors`` are its
+    ``basis`` is the fundamental basis of a spanning tree of ``graph``, so
+    the coordinates of a cycle are its coefficients at ``non_tree_edges``.
+    Windings are determinants against that basis times ``orientation``
+    (+1 or -1). Any two Z-bases of the cycle lattice differ by a change of
+    determinant +-1, so contraction and deletion re-base onto a tree of the
+    new graph and record the sign here. ``partial_coords`` is the
+    unicyclizer expressed in the basis, and ``torsion_factors`` are its
     Smith invariant factors, whose product is ``torsion_order``.
     """
 
     graph: Multigraph
     partial: IntMatrix
     basis: tuple[tuple[int, ...], ...]
-    basis_label: str
-    read_off_edges: tuple[int, ...] | None
+    non_tree_edges: tuple[int, ...]
+    orientation: int
     tree_count: int
     partial_coords: IntMatrix
     torsion_factors: tuple[int, ...]
@@ -85,10 +88,10 @@ class Unicyclization:
     def standard_cycle(self) -> tuple[int, ...]:
         """The standard harmonic cycle, in closed form, computed on first use.
 
-        With B the stored basis and P the unicyclizer's coordinates, the
-        winding covector c_i = w(b_i) = det[e_i | P] and the Gram matrix
-        G = B^T B, whose determinant is the tree count k for any Z-basis of
-        the cycle lattice, give lambda = B adj(G) c. Then b_i . lambda =
+        With B the stored basis, P the unicyclizer's coordinates and o the
+        orientation, the winding covector c_i = w(b_i) = o det[e_i | P] and
+        the Gram matrix G = B^T B, whose determinant is the tree count k for
+        any Z-basis of the cycle lattice, give lambda = B adj(G) c. Then b_i . lambda =
         (G adj(G) c)_i = k c_i, which is the identity C . lambda = w(C) k on
         a basis, and lambda is a cycle; the cycle space's inner product being
         nondegenerate, these pin down the cycletree sum. adj(G) c is taken
@@ -99,7 +102,7 @@ class Unicyclization:
         covector = []
         for i in range(m):
             unit = [1 if r == i else 0 for r in range(m)]
-            covector.append(det(IntMatrix.from_columns([unit] + p_columns, rows=m)))
+            covector.append(self.orientation * det(IntMatrix.from_columns([unit] + p_columns, rows=m)))
         # Expanding det[e_i | P] along its first column, gcd(c) is the gcd of P's maximal minors: tau.
         if gcd_of_vector(covector) != self.torsion_order:
             raise InternalError(f"winding covector gcd {gcd_of_vector(covector)} != torsion order {self.torsion_order}")
@@ -125,7 +128,6 @@ class Unicyclization:
 class WindingReport:
     value: int | Fraction
     chain: tuple
-    basis_used: str
     is_cycle: bool
 
 
@@ -148,36 +150,19 @@ def check_axioms(g: Multigraph, partial: IntMatrix) -> list[tuple[int, bool, str
     return results
 
 
-def _assemble(
-    g: Multigraph,
-    partial: IntMatrix,
-    basis: tuple[tuple[int, ...], ...],
-    basis_label: str,
-    read_off_edges: tuple[int, ...] | None,
-) -> Unicyclization:
+def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unicyclization:
+    cycle_basis = fundamental_basis(g, tree)
     for axiom, ok, detail in check_axioms(g, partial):
         if not ok:
             raise UnicyclizerAxiomError(axiom, f"unicyclizer axiom ({axiom}) fails: {detail}")
-    if read_off_edges is not None:
-        coord_columns = [
-            [partial[e, j] for e in read_off_edges] for j in range(partial.cols)
-        ]
-    else:
-        basis_matrix = IntMatrix.from_columns(basis, rows=g.edge_count)
-        coord_columns = []
-        for j in range(partial.cols):
-            solution = solve_exact(basis_matrix, partial.column(j))
-            if solution is None or any(x.denominator != 1 for x in solution):
-                raise UnicyclizerAxiomError(2, "unicyclizer column is not an integer cycle combination")
-            coord_columns.append([int(x) for x in solution])
-    partial_coords = IntMatrix.from_columns(coord_columns, rows=len(basis))
+    partial_coords = partial.select_rows(cycle_basis.non_tree_edges)
     factors = smith_normal_form(partial_coords).diag
     return Unicyclization(
         graph=g,
         partial=partial,
-        basis=basis,
-        basis_label=basis_label,
-        read_off_edges=read_off_edges,
+        basis=cycle_basis.cycles,
+        non_tree_edges=cycle_basis.non_tree_edges,
+        orientation=orientation,
         tree_count=tree_number(g),
         partial_coords=partial_coords,
         torsion_factors=factors,
@@ -191,16 +176,8 @@ def new_unicyclization(g: Multigraph, partial: IntMatrix, basis_tree=None) -> Un
     By default the basis tree is the lexicographically smallest spanning
     tree, making all derived outputs reproducible.
     """
-    require_connected(g)
-    tree = lexmin_spanning_tree(g) if basis_tree is None else frozenset(basis_tree)
-    cycle_basis = fundamental_basis(g, tree)
-    return _assemble(
-        g,
-        partial,
-        cycle_basis.cycles,
-        f"fundamental(tree={sorted(tree)})",
-        read_off_edges=cycle_basis.non_tree_edges,
-    )
+    tree = lexmin_spanning_tree(g) if basis_tree is None else basis_tree
+    return _assemble(g, partial, tree, 1)
 
 
 def select_independent_columns(m: IntMatrix) -> IntMatrix:
@@ -266,32 +243,24 @@ def from_cw(x: ChainComplex) -> Unicyclization:
 
 
 def cycle_coordinates(a: Unicyclization, chain: Sequence[int]) -> tuple[int, ...]:
-    """Coordinates of an integer cycle with respect to the stored basis."""
+    """Coordinates of an integer cycle in the stored basis: its coefficients at the non-tree edges."""
     g = a.graph
     if len(chain) != g.edge_count:
         raise DimensionError(f"chain length {len(chain)} != {g.edge_count} edges")
     for x in chain:
         if type(x) is not int:
             raise ValueError("cycle coordinates need integer chains")
-    if a.read_off_edges is not None:
-        if any(v != 0 for v in mat_vec(incidence_matrix(g), chain)):
-            raise ValueError("chain is not a cycle")
-        return tuple(chain[e] for e in a.read_off_edges)
-    basis_matrix = IntMatrix.from_columns(a.basis, rows=g.edge_count)
-    solution = solve_exact(basis_matrix, chain)
-    if solution is None:
+    if any(v != 0 for v in mat_vec(incidence_matrix(g), chain)):
         raise ValueError("chain is not a cycle")
-    if any(x.denominator != 1 for x in solution):
-        raise ValueError("chain is not in the integer cycle lattice")
-    return tuple(int(x) for x in solution)
+    return tuple(chain[e] for e in a.non_tree_edges)
 
 
 def winding_number(a: Unicyclization, chain: Sequence[int]) -> int:
-    """Determinant of the cycle's coordinates next to the unicyclizer's."""
+    """Determinant of the cycle's coordinates next to the unicyclizer's, times the orientation."""
     coords = cycle_coordinates(a, chain)
     m = a.cycle_rank
     columns = [coords] + [a.partial_coords.column(j) for j in range(a.partial_coords.cols)]
-    return det(IntMatrix.from_columns(columns, rows=m))
+    return a.orientation * det(IntMatrix.from_columns(columns, rows=m))
 
 
 def torsion(a: Unicyclization) -> tuple[int, tuple[int, ...]]:
@@ -388,27 +357,34 @@ def sign_normalized(chain: Sequence) -> tuple:
 
 
 def contract_unicyclization(a: Unicyclization, edge: int) -> Unicyclization:
-    """Contract a non-loop edge, transporting basis and unicyclizer.
+    """Contract a non-loop edge, transporting the unicyclizer.
 
     The cycle space maps isomorphically onto the contraction's by dropping
-    the edge's coordinate, so cycle coordinates and winding numbers of
-    transported cycles are preserved exactly.
+    the edge's coordinate, and winding numbers of transported cycles are
+    preserved exactly. The basis is that of the lexmin tree T' of the
+    contraction. T' lifted back plus the edge is a spanning tree of the
+    parent, whose fundamental cycles transport onto that basis, so the new
+    orientation is the parent's times the determinant of their coordinates
+    in the parent's basis.
     """
     g = a.graph
     g.check_edge(edge)
     if g.is_loop(edge):
         raise ValueError("cannot contract a loop")
     contracted, relabeling = contract(g, edge)
-    surviving = [e for e in range(g.edge_count) if e != edge]
-    partial_c = a.partial.select_rows(surviving)
-    basis_c = tuple(relabeling.transport_chain(z) for z in a.basis)
-    return _assemble(
-        contracted,
-        partial_c,
-        basis_c,
-        f"contract({edge}) of {a.basis_label}",
-        read_off_edges=None,
-    )
+    old_edge = {new: old for old, new in relabeling.edges.items()}
+    tree = lexmin_spanning_tree(contracted)
+    lifted = fundamental_basis(g, {old_edge[e] for e in tree} | {edge})
+    partial_c = a.partial.select_rows([e for e in range(g.edge_count) if e != edge])
+    return _assemble(contracted, partial_c, tree, a.orientation * _basis_change_sign(a, lifted.cycles))
+
+
+def _basis_change_sign(a: Unicyclization, cycles) -> int:
+    """Determinant of the cycles' coordinates in the stored basis, which is +-1 for a Z-basis."""
+    sign = det(IntMatrix.from_columns([[z[e] for e in a.non_tree_edges] for z in cycles], rows=a.cycle_rank))
+    if sign not in (1, -1):
+        raise InternalError(f"change of cycle basis has determinant {sign}, expected +-1")
+    return sign
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -433,12 +409,12 @@ def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization,
     coefficient at the edge, its winding number equals n times the winding
     number of the transported cycle downstairs.
 
-    The basis comes from the lexmin spanning tree of the smaller graph. The
-    unicyclizer coordinates are column-reduced so the deleted edge's row
-    becomes (0, ..., 0, n), keeping track of determinant signs so the
-    relation holds against the parent's own basis. With a single
-    unicyclizer column the sign cannot be absorbed by the columns, so the
-    transported basis is negated instead.
+    The basis comes from the lexmin spanning tree of the smaller graph,
+    whose fundamental cycles in the parent, with the deleted edge's cycle
+    last, form a basis there. The unicyclizer coordinates in that basis are
+    column-reduced so the deleted edge's row becomes (0, ..., 0, n). The
+    new orientation is the parent's times the signs of the change of basis
+    and of the column reduction, so the relation holds exactly.
     """
     g = a.graph
     g.check_edge(edge)
@@ -449,19 +425,15 @@ def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization,
         )
     smaller, relabeling = delete(g, edge)
     old_edge = {new: old for old, new in relabeling.edges.items()}
-    tree = frozenset(old_edge[e] for e in lexmin_spanning_tree(smaller))
-    m = a.cycle_rank
-    cycle_basis = fundamental_basis(g, tree)
+    tree = lexmin_spanning_tree(smaller)
+    cycle_basis = fundamental_basis(g, {old_edge[e] for e in tree})
     chain_by_edge = dict(zip(cycle_basis.non_tree_edges, cycle_basis.cycles))
     order = [e for e in cycle_basis.non_tree_edges if e != edge] + [edge]
     ordered_chains = [chain_by_edge[e] for e in order]
-
-    change = IntMatrix.from_columns([cycle_coordinates(a, z) for z in ordered_chains], rows=m)
-    eps = det(change)
+    eps = _basis_change_sign(a, ordered_chains)
 
     columns = [[a.partial[e, j] for e in order] for j in range(a.partial.cols)]
-    det_u = 1
-    last = m - 1
+    last = a.cycle_rank - 1
     ncols = len(columns)
     for j in range(ncols - 1):
         lead = columns[j][last]
@@ -473,33 +445,17 @@ def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization,
         col_j, col_last = columns[j], columns[ncols - 1]
         columns[j] = [corner_g * p - lead_g * q for p, q in zip(col_j, col_last)]
         columns[ncols - 1] = [x * p + y * q for p, q in zip(col_j, col_last)]
-    if columns[ncols - 1][last] < 0:
-        columns[ncols - 1] = [-v for v in columns[ncols - 1]]
-        det_u = -det_u
+    det_u = -1 if columns[ncols - 1][last] < 0 else 1
+    columns[ncols - 1] = [det_u * v for v in columns[ncols - 1]]
     if columns[ncols - 1][last] != n_sigma:
         raise InternalError(f"column reduction left {columns[ncols - 1][last]} at the deleted edge, expected {n_sigma}")
 
-    negate_basis = False
-    if det_u * eps != 1:
-        if ncols >= 2:
-            columns[0] = [-v for v in columns[0]]
-        else:
-            negate_basis = True
-
     transported = [relabeling.transport_chain(z) for z in ordered_chains[:-1]]
-    if negate_basis:
-        transported = [tuple(-c for c in z) for z in transported]
     top_coords = IntMatrix.from_columns(
         [[col[i] for i in range(last)] for col in columns[: ncols - 1]], rows=last
     )
-    basis_matrix = IntMatrix.from_columns(transported, rows=smaller.edge_count)
-    partial_d = basis_matrix @ top_coords
-    read_off = None
-    if not negate_basis:
-        read_off = tuple(relabeling.edges[e] for e in order[:-1])
-    deleted = _assemble(
-        smaller, partial_d, tuple(transported), f"delete({edge}) of {a.basis_label}", read_off_edges=read_off
-    )
+    partial_d = IntMatrix.from_columns(transported, rows=smaller.edge_count) @ top_coords
+    deleted = _assemble(smaller, partial_d, tree, a.orientation * det_u * eps)
     return deleted, n_sigma
 
 
@@ -523,7 +479,7 @@ def winding_report(a: Unicyclization, chain: Sequence) -> WindingReport:
         value: int | Fraction = winding_number(a, chain)
     else:
         value = extended_winding(a, chain)
-    return WindingReport(value=value, chain=tuple(chain), basis_used=a.basis_label, is_cycle=is_cycle)
+    return WindingReport(value=value, chain=tuple(chain), is_cycle=is_cycle)
 
 
 def harmonic_to_unicyclizer(

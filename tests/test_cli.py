@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +188,27 @@ def test_disconnected_graph_is_input_error(tmp_path, capsys):
     path.write_text('{"vertices":2,"edges":[]}')
     code, _, err = run(capsys, "lambda", str(path))
     assert code == 2 and "connected" in err
+
+
+def test_huge_vertex_count_fails_fast(tmp_path):
+    # A billion vertices and no edges: connectivity must be refused from the
+    # edge count, before any per-vertex allocation. The child runs under a
+    # 512 MB address-space limit, so a per-vertex allocation exits 3 instead.
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices": 1000000000, "edges": []}')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    for command in ("validate", "lambda", "trees"):
+        done = subprocess.run(
+            [sys.executable, "-m", "hx.cli", command, str(path)],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_memory,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == "" and "not connected" in done.stderr
 
 
 def test_enumeration_cap_checked_before_build(tmp_path, capsys):

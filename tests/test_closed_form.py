@@ -46,15 +46,37 @@ def random_unicyclizer(g, rng_entries):
     return IntMatrix.from_columns(basis.cycles, rows=g.edge_count) @ combo
 
 
+def contract_checked(a, edge):
+    """Contract the edge; every parent basis cycle keeps its winding after transport."""
+    contracted = contract_unicyclization(a, edge)
+    for z in a.basis:
+        assert winding_number(contracted, z[:edge] + z[edge + 1 :]) == winding_number(a, z)
+    return contracted
+
+
+def delete_checked(a, edge):
+    """Delete the edge; each basis cycle downstairs, lifted with 0 at the edge, winds n times as much upstairs."""
+    smaller, n = delete_unicyclization(a, edge)
+    for z in smaller.basis:
+        assert winding_number(a, z[:edge] + (0,) + z[edge:]) == n * winding_number(smaller, z)
+    return smaller
+
+
 def test_family_contractions_and_deletions_match_oracle():
+    orientations = set()
     for g, partial in exhaustive_family(4, 6, 2, per_graph=2):
         a = new_unicyclization(g, partial)
         assert_matches_oracle(a)
         for edge in range(g.edge_count):
+            minors = []
             if not g.is_loop(edge):
-                assert_matches_oracle(contract_unicyclization(a, edge))
+                minors.append(contract_checked(a, edge))
             if winding_difference(a, edge):
-                assert_matches_oracle(delete_unicyclization(a, edge)[0])
+                minors.append(delete_checked(a, edge))
+            for minor in minors:
+                assert_matches_oracle(minor)
+                orientations.add(minor.orientation)
+    assert orientations == {1, -1}
 
 
 @st.composite
@@ -75,6 +97,16 @@ def unicyclized_multigraphs(draw):
 @given(unicyclized_multigraphs())
 def test_random_multigraphs_match_oracle(a):
     assert_matches_oracle(a)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(unicyclized_multigraphs())
+def test_random_contractions_and_deletions_keep_windings(a):
+    for edge in range(a.graph.edge_count):
+        if not a.graph.is_loop(edge):
+            contract_checked(a, edge)
+        if winding_difference(a, edge):
+            delete_checked(a, edge)
 
 
 def test_gram_check_raises_internal_error():
