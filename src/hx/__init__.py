@@ -52,7 +52,6 @@ from .spanning import (
     CycleBasis,
     Cycletree,
     cycletrees,
-    express_in_basis,
     fundamental_basis,
     lexmin_spanning_tree,
     spanning_trees,

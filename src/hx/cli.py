@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     split = add("split", "standard harmonic cycle split at an edge")
     split.add_argument("--edge", type=int, required=True)
     split.add_argument("--raw-sign", action="store_true", dest="raw_sign")
-    split.add_argument("--cap", type=int, default=None)
     verify = add("verify", "run brute-force verifiers")
     verify.add_argument("checks", nargs="*", help=f"subset of {', '.join(VERIFY_CHECKS)}")
     verify.add_argument("--all", action="store_true", dest="run_all")
@@ -151,9 +150,8 @@ def _cmd_winding(doc, args) -> tuple[dict, int]:
 
 
 def _cmd_split(doc, args) -> tuple[dict, int]:
-    check_enumeration_cap(build_graph(doc), args.cap)
     a = build_unicyclization(doc)
-    with_edge, without_edge = split_standard_cycle(a, args.edge, args.cap)
+    with_edge, without_edge = split_standard_cycle(a, args.edge)
     if not args.raw_sign:
         # Flip both parts together so they still sum to the reported lambda.
         total = tuple(x + y for x, y in zip(with_edge, without_edge))

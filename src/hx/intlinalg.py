@@ -175,10 +175,10 @@ def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
     The 0x0 determinant is 1 (empty product). This forward-only loop is kept
-    apart from ``_echelon`` because ``det`` is hot in the standard harmonic
-    cycle and in winding numbers: on random +-9 matrices (Python 3.11, one
-    x86-64 core) a determinant read off ``_echelon`` took about three times
-    as long, 20 against 7 us at 3x3 and 219 against 73 us at 9x9.
+    apart from ``_echelon`` because ``det`` is hot in the ``verify`` oracles,
+    which take one determinant per cycle: on random +-9 matrices (Python
+    3.11, one x86-64 core) a determinant read off ``_echelon`` took about
+    three times as long, 20 against 7 us at 3x3 and 219 against 73 us at 9x9.
     """
     if m.rows != m.cols:
         raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")

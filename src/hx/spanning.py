@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
 
 from .errors import EnumerationCapError
 from .graphs import (
@@ -24,9 +23,11 @@ from .graphs import (
     require_connected,
     spanning_subgraph_connected,
 )
-from .intlinalg import IntMatrix, det, mat_vec
+from .intlinalg import IntMatrix, det
 
 DEFAULT_ENUMERATION_CAP = 16
+# Entries kept by each per-graph cache. A pass over the acceptance family fills them to at most 663.
+GRAPH_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ def check_enumeration_cap(g: Multigraph, cap: int | None) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _spanning_trees_cached(g: Multigraph) -> tuple[frozenset[int], ...]:
     size = g.vertex_count - 1
     non_loops = [e for e in range(g.edge_count) if not g.is_loop(e)]
@@ -103,7 +104,7 @@ def tree_number(g: Multigraph) -> int:
     return _tree_number_cached(g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _tree_number_cached(g: Multigraph) -> int:
     boundary = incidence_matrix(g)
     laplacian = boundary @ boundary.transpose()
@@ -174,7 +175,7 @@ def unique_cycle(g: Multigraph, edge_ids) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _cycletrees_cached(g: Multigraph) -> tuple[Cycletree, ...]:
     size = g.vertex_count
     found = []
@@ -239,17 +240,3 @@ def fundamental_basis(g: Multigraph, tree) -> CycleBasis:
                 coeffs[f] = direction
         cycles.append(tuple(coeffs))
     return CycleBasis(graph=g, tree=tree, non_tree_edges=non_tree, cycles=tuple(cycles))
-
-
-def express_in_basis(chain: Sequence[int], basis: CycleBasis) -> tuple[int, ...]:
-    """Coordinates of a cycle in a fundamental basis.
-
-    These are just the chain's coefficients at the non-tree edges; the input
-    must be a cycle (zero boundary) for them to be coordinates at all.
-    """
-    g = basis.graph
-    if len(chain) != g.edge_count:
-        raise ValueError(f"chain length {len(chain)} != {g.edge_count} edges")
-    if any(x != 0 for x in mat_vec(incidence_matrix(g), chain)):
-        raise ValueError("chain is not a cycle")
-    return tuple(chain[e] for e in basis.non_tree_edges)

@@ -1,17 +1,20 @@
 """Brute-force verifiers for the structural identities, on small instances.
 
 Each verifier re-derives one identity by exhaustive enumeration and returns
-a report of named checks. ``cycletree_sum`` is the standard harmonic cycle
-by its definition, the oracle for the closed form in ``winding``. The
-instance family generator enumerates every connected multigraph up to the
-given size (one representative per vertex relabeling) and equips each with
-seeded random valid unicyclizers, which is what the acceptance suite
-sweeps.
+a report of named checks. The oracles for the closed forms in ``winding``
+are here too: ``determinant_windings`` takes each winding as the
+determinant that defines it, apart from the stored covector, and
+``cycletree_sum`` and ``cycletree_split`` sum the cycletrees by their
+definition. The instance family generator enumerates every connected
+multigraph up to the given size (one representative per vertex
+relabeling) and equips each with seeded random valid unicyclizers, which
+is what the acceptance suite sweeps.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -19,9 +22,9 @@ from typing import Iterator
 
 from .complexes import energy, harmonic_basis
 from .graphs import Multigraph, contract, corank, delete, incidence_matrix, is_connected
-from .intlinalg import IntMatrix, dot, mat_vec, rank
-from .spanning import cycletrees, fundamental_basis, lexmin_spanning_tree, spanning_trees, tree_number
-from .winding import Unicyclization, standard_harmonic_cycle, winding_number
+from .intlinalg import IntMatrix, det, dot, mat_vec, rank
+from .spanning import GRAPH_CACHE_SIZE, cycletrees, fundamental_basis, lexmin_spanning_tree, spanning_trees, tree_number
+from .winding import Unicyclization, cycle_coordinates, standard_harmonic_cycle
 
 DEFAULT_SEED = 2024
 
@@ -72,17 +75,42 @@ def _random_cycle(rng: random.Random, a: Unicyclization) -> tuple[int, ...]:
     return tuple(total)
 
 
+def determinant_windings(a: Unicyclization, cycles) -> list[int]:
+    """Winding numbers by their definition, o det[coords(z) | P], one determinant per cycle.
+
+    P is the unicyclizer read off at the instance's non-tree edges and o its
+    orientation. This is the oracle for the winding covector.
+    """
+    p_columns = [[a.partial[e, j] for e in a.non_tree_edges] for j in range(a.partial.cols)]
+    return [
+        a.orientation * det(IntMatrix.from_columns([cycle_coordinates(a, z)] + p_columns, rows=a.cycle_rank))
+        for z in cycles
+    ]
+
+
+def _winding_weighted_sum(a: Unicyclization, trees) -> tuple[int, ...]:
+    """Sum of the cycletrees' unique cycles, each times its determinant winding number.
+
+    Many cycletrees share a cycle, so each distinct cycle's determinant is
+    taken once and weighted by the number of cycletrees that have it.
+    """
+    counts = Counter(ct.cycle for ct in trees)
+    weights = [counts[z] * w for z, w in zip(counts, determinant_windings(a, list(counts)))]
+    return tuple(mat_vec(IntMatrix.from_columns(list(counts), rows=a.graph.edge_count), weights))
+
+
 def cycletree_sum(a: Unicyclization, cap: int | None = None) -> tuple[int, ...]:
     """The standard harmonic cycle by enumeration: the sum over all
     cycletrees of the unique cycle times its determinant winding number."""
-    total = [0] * a.graph.edge_count
-    for ct in cycletrees(a.graph, cap):
-        w = winding_number(a, ct.cycle)
-        if w:
-            for e, c in enumerate(ct.cycle):
-                if c:
-                    total[e] += w * c
-    return tuple(total)
+    return _winding_weighted_sum(a, cycletrees(a.graph, cap))
+
+
+def cycletree_split(a: Unicyclization, edge: int, cap: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``cycletree_sum`` split by enumeration into the cycletrees through the edge and the rest."""
+    a.graph.check_edge(edge)
+    trees = cycletrees(a.graph, cap)
+    through = _winding_weighted_sum(a, [ct for ct in trees if edge in ct.edge_ids])
+    return through, _winding_weighted_sum(a, [ct for ct in trees if edge not in ct.edge_ids])
 
 
 def verify_inner_product(
@@ -94,23 +122,16 @@ def verify_inner_product(
     integer combinations of the basis. Windings are determinants, so the
     probes check the closed-form lambda independently of it.
     """
-    all_cycletrees = cycletrees(a.graph, cap)
+    rng = random.Random(seed)
+    probes = [(f"cycletree[{i}]", ct.cycle) for i, ct in enumerate(cycletrees(a.graph, cap))]
+    probes += [(f"basis[{i}]", z) for i, z in enumerate(a.basis)]
+    probes += [(f"random[{t}]", _random_cycle(rng, a)) for t in range(trials)]
     lam = standard_harmonic_cycle(a)
     k = a.tree_count
     checks = []
-
-    def probe(name: str, cycle) -> None:
-        lhs = dot(cycle, lam)
-        rhs = winding_number(a, cycle) * k
+    for (name, cycle), w in zip(probes, determinant_windings(a, [z for _, z in probes])):
+        lhs, rhs = dot(cycle, lam), w * k
         checks.append(Check(name, lhs == rhs, str(lhs), str(rhs)))
-
-    for i, ct in enumerate(all_cycletrees):
-        probe(f"cycletree[{i}]", ct.cycle)
-    for i, z in enumerate(a.basis):
-        probe(f"basis[{i}]", z)
-    rng = random.Random(seed)
-    for t in range(trials):
-        probe(f"random[{t}]", _random_cycle(rng, a))
     return VerificationReport(describe_instance(a), tuple(checks))
 
 
@@ -223,7 +244,7 @@ def _canonical_edges(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple[
     return best
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def connected_multigraphs(max_vertices: int, max_edges: int) -> tuple[Multigraph, ...]:
     """Connected multigraphs up to the given size, one per relabeling class.
 

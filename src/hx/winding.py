@@ -4,10 +4,11 @@ A unicyclizer of a connected graph is an integer matrix with independent
 columns, killed by the incidence matrix, whose image leaves exactly one
 free factor in the cycle space. The pair (graph, unicyclizer) behaves like
 a cell complex whose first homology has rank one: every cycle gets an
-integer winding number (a determinant in cycle-space coordinates), and the
-cycletree-weighted sum of winding numbers is a nonzero harmonic cycle. That
-sum is computed here in closed form from the cycle basis; the enumerated sum
-is kept in ``verify`` as the oracle.
+integer winding number (a determinant in cycle-space coordinates, linear in
+the cycle, so one covector per instance), and the cycletree-weighted sum of
+winding numbers is a nonzero harmonic cycle. That sum, and its split at an
+edge, are computed here in closed form from cycle bases; the determinant
+windings and the enumerated sums are kept in ``verify`` as the oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
 from typing import Sequence
 
 from .complexes import ChainComplex, complex_from_boundaries
@@ -27,6 +27,7 @@ from .graphs import (
     corank,
     delete,
     incidence_matrix,
+    is_connected,
     require_connected,
 )
 from .intlinalg import (
@@ -34,6 +35,7 @@ from .intlinalg import (
     det,
     dot,
     gcd_of_vector,
+    kernel_basis,
     kernel_lattice_basis,
     mat_vec,
     rank,
@@ -58,12 +60,14 @@ class Unicyclization:
 
     ``basis`` is the fundamental basis of a spanning tree of ``graph``, so
     the coordinates of a cycle are its coefficients at ``non_tree_edges``.
-    Windings are determinants against that basis times ``orientation``
-    (+1 or -1). Any two Z-bases of the cycle lattice differ by a change of
-    determinant +-1, so contraction and deletion re-base onto a tree of the
-    new graph and record the sign here. ``partial_coords`` is the
-    unicyclizer expressed in the basis, and ``torsion_factors`` are its
-    Smith invariant factors, whose product is ``torsion_order``.
+    The winding of a cycle z is the determinant det[coords(z) | P] against
+    the unicyclizer's coordinates P, times ``orientation`` (+1 or -1). Any
+    two Z-bases of the cycle lattice differ by a change of determinant +-1,
+    so contraction and deletion re-base onto a tree of the new graph and
+    record the sign here. That determinant is linear in z, so it is stored
+    as ``covector``, c_i = w(b_i) with the orientation folded in: every
+    winding is c . coords(z). Expanding det[e_i | P] along its first column,
+    the gcd of c is the gcd of P's maximal minors, which is ``torsion_order``.
     """
 
     graph: Multigraph
@@ -72,8 +76,7 @@ class Unicyclization:
     non_tree_edges: tuple[int, ...]
     orientation: int
     tree_count: int
-    partial_coords: IntMatrix
-    torsion_factors: tuple[int, ...]
+    covector: tuple[int, ...]
     torsion_order: int
 
     @property
@@ -86,42 +89,30 @@ class Unicyclization:
 
     @cached_property
     def standard_cycle(self) -> tuple[int, ...]:
-        """The standard harmonic cycle, in closed form, computed on first use.
+        """The standard harmonic cycle in closed form, computed on first use:
+        the stored basis weighted by the winding covector, see ``_weighted_cycle_sum``."""
+        return _weighted_cycle_sum(self.graph.edge_count, self.basis, self.covector, self.tree_count)
 
-        With B the stored basis, P the unicyclizer's coordinates and o the
-        orientation, the winding covector c_i = w(b_i) = o det[e_i | P] and
-        the Gram matrix G = B^T B, whose determinant is the tree count k for
-        any Z-basis of the cycle lattice, give lambda = B adj(G) c. Then b_i . lambda =
-        (G adj(G) c)_i = k c_i, which is the identity C . lambda = w(C) k on
-        a basis, and lambda is a cycle; the cycle space's inner product being
-        nondegenerate, these pin down the cycletree sum. adj(G) c is taken
-        by Cramer's rule: its j-th entry is det G with column j replaced by c.
-        """
-        m = self.cycle_rank
-        p_columns = [self.partial_coords.column(j) for j in range(self.partial_coords.cols)]
-        covector = []
-        for i in range(m):
-            unit = [1 if r == i else 0 for r in range(m)]
-            covector.append(self.orientation * det(IntMatrix.from_columns([unit] + p_columns, rows=m)))
-        # Expanding det[e_i | P] along its first column, gcd(c) is the gcd of P's maximal minors: tau.
-        if gcd_of_vector(covector) != self.torsion_order:
-            raise InternalError(f"winding covector gcd {gcd_of_vector(covector)} != torsion order {self.torsion_order}")
-        # G is symmetric, so its rows serve as its columns below.
-        gram = [[dot(u, v) for v in self.basis] for u in self.basis]
-        gram_det = det(IntMatrix.from_columns(gram, rows=m))
-        if gram_det != self.tree_count:
-            raise InternalError(f"Gram determinant {gram_det} of the cycle basis != tree count {self.tree_count}")
-        coeffs = [
-            det(IntMatrix.from_columns(gram[:j] + [covector] + gram[j + 1 :], rows=m))
-            for j in range(m)
-        ]
-        total = [0] * self.graph.edge_count
-        for a, z in zip(coeffs, self.basis):
-            if a:
-                for e, v in enumerate(z):
-                    if v:
-                        total[e] += a * v
-        return tuple(total)
+
+def _weighted_cycle_sum(edge_count: int, cycles, values: Sequence[int], k: int) -> tuple[int, ...]:
+    """B adj(G) f for a Z-basis B of the cycle lattice of a graph with k
+    spanning trees, its Gram matrix G = B^T B and the values f = f(B) of a
+    linear functional f on cycles: the sum over all cycletrees of f(cycle)
+    times the cycle.
+
+    Both are cycles whose inner product with each b_i is k f_i: here
+    b_i . B adj(G) f = (G adj(G) f)_i, and for the cycletree sum it is the
+    identity C . lambda = f(C) k. The inner product is nondegenerate on
+    cycles, so they are equal. One fraction-free elimination of [G | f]
+    solves G x = f; its final pivot is +-det G, which must be k, and then
+    k x = adj(G) f is its last column up to that sign.
+    """
+    m = len(cycles)
+    augmented = [[dot(u, v) for v in cycles] + [f] for u, f in zip(cycles, values)]
+    rows, pivots, d = _echelon(IntMatrix.from_rows(augmented, cols=m + 1))
+    if pivots != list(range(m)) or abs(d) != k:
+        raise InternalError(f"Gram matrix of the {m} cycles does not have determinant +-{k}, the tree count")
+    return tuple(mat_vec(IntMatrix.from_columns(cycles, rows=edge_count), [row[m] * k // d for row in rows]))
 
 
 @dataclass(frozen=True)
@@ -155,8 +146,13 @@ def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unic
     for axiom, ok, detail in check_axioms(g, partial):
         if not ok:
             raise UnicyclizerAxiomError(axiom, f"unicyclizer axiom ({axiom}) fails: {detail}")
-    partial_coords = partial.select_rows(cycle_basis.non_tree_edges)
-    factors = smith_normal_form(partial_coords).diag
+    # With P the unicyclizer's coordinates, c_i = det[e_i | P] is orthogonal to P's columns, so
+    # c = s v for the primitive v spanning the kernel of P^T, with s = c . v / v . v = det[v | P] / v . v.
+    p_transposed = partial.select_rows(cycle_basis.non_tree_edges).transpose()
+    (v,) = kernel_basis(p_transposed)
+    s, remainder = divmod(det(vstack(IntMatrix.from_rows([v]), p_transposed)), dot(v, v))
+    if remainder:
+        raise InternalError(f"winding covector is not an integer multiple of the primitive kernel vector {list(v)}")
     return Unicyclization(
         graph=g,
         partial=partial,
@@ -164,9 +160,8 @@ def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unic
         non_tree_edges=cycle_basis.non_tree_edges,
         orientation=orientation,
         tree_count=tree_number(g),
-        partial_coords=partial_coords,
-        torsion_factors=factors,
-        torsion_order=prod(factors) if factors else 1,
+        covector=tuple(orientation * s * x for x in v),
+        torsion_order=abs(s),
     )
 
 
@@ -256,33 +251,31 @@ def cycle_coordinates(a: Unicyclization, chain: Sequence[int]) -> tuple[int, ...
 
 
 def winding_number(a: Unicyclization, chain: Sequence[int]) -> int:
-    """Determinant of the cycle's coordinates next to the unicyclizer's, times the orientation."""
-    coords = cycle_coordinates(a, chain)
-    m = a.cycle_rank
-    columns = [coords] + [a.partial_coords.column(j) for j in range(a.partial_coords.cols)]
-    return a.orientation * det(IntMatrix.from_columns(columns, rows=m))
+    """The winding covector dotted with the cycle's coordinates."""
+    return dot(a.covector, cycle_coordinates(a, chain))
 
 
 def torsion(a: Unicyclization) -> tuple[int, tuple[int, ...]]:
-    """Torsion order of the first homology, with its invariant factors."""
-    return a.torsion_order, a.torsion_factors
+    """Torsion order of the first homology, with its invariant factors.
+
+    The factors are the Smith form's diagonal of the unicyclizer's
+    coordinates, computed here on each call: nothing else needs them.
+    """
+    return a.torsion_order, smith_normal_form(a.partial.select_rows(a.non_tree_edges)).diag
+
+
+def _covector_winding(a: Unicyclization, cycle: Sequence[int]) -> int:
+    """Winding of a chain already known to be a cycle of ``a.graph``."""
+    return sum(c * cycle[e] for c, e in zip(a.covector, a.non_tree_edges))
 
 
 def cycletree_windings(a: Unicyclization, cap: int | None = None) -> tuple[int, ...]:
     """Winding numbers of the unique cycles, aligned with ``cycletrees``.
 
-    Each is cycle . lambda / k, an exact division by the inner-product
-    identity; a remainder means the closed form is wrong.
+    Each is the winding covector dotted with the cycle's coefficients at the
+    non-tree edges; ``verify.determinant_windings`` is the oracle.
     """
-    trees = cycletrees(a.graph, cap)
-    lam, k = standard_harmonic_cycle(a), a.tree_count
-    windings = []
-    for ct in trees:
-        w, remainder = divmod(dot(ct.cycle, lam), k)
-        if remainder:
-            raise InternalError(f"cycle {list(ct.cycle)} has non-integral winding {dot(ct.cycle, lam)}/{k}")
-        windings.append(w)
-    return tuple(windings)
+    return tuple(_covector_winding(a, ct.cycle) for ct in cycletrees(a.graph, cap))
 
 
 def standard_harmonic_cycle(a: Unicyclization) -> tuple[int, ...]:
@@ -307,39 +300,36 @@ def standard_harmonic_cycle_grouped(a: Unicyclization, cap: int | None = None) -
     matrix-tree determinant of the contracted graph.
     """
     check_enumeration_cap(a.graph, cap)
-    seen: dict[tuple[int, ...], None] = {}
-    for ct in cycletrees(a.graph, cap):
-        seen.setdefault(ct.cycle)
-    total = [0] * a.graph.edge_count
-    for cycle in seen:
-        support = [e for e, c in enumerate(cycle) if c]
-        contracted, _ = contract_edges(a.graph, support)
-        weight = tree_number(contracted) * winding_number(a, cycle)
-        if weight:
-            for e, c in enumerate(cycle):
-                if c:
-                    total[e] += weight * c
-    return tuple(total)
+    cycles = list(dict.fromkeys(ct.cycle for ct in cycletrees(a.graph, cap)))
+    weights = []
+    for cycle in cycles:
+        contracted, _ = contract_edges(a.graph, [e for e, c in enumerate(cycle) if c])
+        weights.append(tree_number(contracted) * _covector_winding(a, cycle))
+    return tuple(mat_vec(IntMatrix.from_columns(cycles, rows=a.graph.edge_count), weights))
 
 
-def split_standard_cycle(a: Unicyclization, edge: int, cap: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def split_standard_cycle(a: Unicyclization, edge: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split the standard harmonic cycle by cycletrees containing the edge.
 
     Returns (sum over cycletrees through the edge, sum over the rest); the
-    two add up to the full standard harmonic cycle.
+    two add up to the full standard harmonic cycle. The cycletrees that
+    avoid the edge are exactly those of the graph with it deleted, so their
+    sum is the closed form of ``Unicyclization.standard_cycle`` over the
+    fundamental cycles of that graph's lexmin tree, weighted by their
+    windings here; it is zero when the deletion disconnects the graph.
+    ``verify.cycletree_split`` is the enumerated oracle.
     """
-    a.graph.check_edge(edge)
-    windings = cycletree_windings(a, cap)
-    with_edge = [0] * a.graph.edge_count
-    without_edge = [0] * a.graph.edge_count
-    for ct, w in zip(cycletrees(a.graph, cap), windings):
-        if not w:
-            continue
-        target = with_edge if edge in ct.edge_ids else without_edge
-        for e, c in enumerate(ct.cycle):
-            if c:
-                target[e] += w * c
-    return tuple(with_edge), tuple(without_edge)
+    g = a.graph
+    smaller, relabeling = delete(g, edge)
+    if is_connected(smaller):
+        old_edge = {new: old for old, new in relabeling.edges.items()}
+        cycle_basis = fundamental_basis(g, {old_edge[e] for e in lexmin_spanning_tree(smaller)})
+        cycles = [z for e, z in zip(cycle_basis.non_tree_edges, cycle_basis.cycles) if e != edge]
+        windings = [_covector_winding(a, z) for z in cycles]
+        without_edge = _weighted_cycle_sum(g.edge_count, cycles, windings, tree_number(smaller))
+    else:
+        without_edge = (0,) * g.edge_count
+    return tuple(x - y for x, y in zip(a.standard_cycle, without_edge)), without_edge
 
 
 def winding_difference(a: Unicyclization, edge: int) -> int:

@@ -216,7 +216,7 @@ def test_enumeration_cap_checked_before_build(tmp_path, capsys):
     edges = [[i, (i + d) % 10] for i in range(10) for d in (1, 2)]
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"vertices": 10, "edges": edges, "unicyclizer": [[1] + [0] * 19]}))
-    for argv in (["cycletrees"], ["split", "--edge", "0"], ["verify", "harmonicity"]):
+    for argv in (["cycletrees"], ["verify", "harmonicity"]):
         code, _, err = run(capsys, argv[0], str(path), *argv[1:])
         assert code == 2
         assert "enumeration cap" in err and "axiom" not in err

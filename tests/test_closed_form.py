@@ -2,25 +2,32 @@
 
 import dataclasses
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
+from hx import winding
 from hx.cli import main
 from hx.errors import InternalError
 from hx.graphs import Multigraph
 from hx.intlinalg import IntMatrix, det, dot, rank
 from hx.spanning import cycletrees, fundamental_basis, lexmin_spanning_tree
-from hx.verify import cycletree_sum, exhaustive_family
+from hx.verify import cycletree_split, cycletree_sum, determinant_windings, exhaustive_family
 from hx.winding import (
     contract_unicyclization,
     cycletree_windings,
     delete_unicyclization,
+    harmonic_to_unicyclizer,
     new_unicyclization,
+    split_standard_cycle,
     standard_harmonic_cycle,
+    torsion,
     winding_difference,
     winding_number,
 )
@@ -32,8 +39,15 @@ def gram_det(a):
 
 def assert_matches_oracle(a):
     assert standard_harmonic_cycle(a) == cycletree_sum(a)
-    assert cycletree_windings(a) == tuple(winding_number(a, ct.cycle) for ct in cycletrees(a.graph))
+    assert list(cycletree_windings(a)) == determinant_windings(a, [ct.cycle for ct in cycletrees(a.graph)])
     assert gram_det(a) == a.tree_count
+    for edge in range(a.graph.edge_count):
+        assert split_standard_cycle(a, edge) == cycletree_split(a, edge)
+    # tau comes from the covector; sympy's Smith form of the unicyclizer's coordinates is the oracle.
+    coords = a.partial.select_rows(a.non_tree_edges)
+    snf = smith_normal_form(sympy.Matrix(coords.rows, coords.cols, list(coords.entries)), domain=sympy.ZZ)
+    diag = tuple(abs(int(snf[i, i])) for i in range(coords.cols))
+    assert torsion(a) == (math.prod(diag), diag)
 
 
 def random_unicyclizer(g, rng_entries):
@@ -115,11 +129,35 @@ def test_gram_check_raises_internal_error():
         standard_harmonic_cycle(dataclasses.replace(a, tree_count=a.tree_count + 1))
 
 
-def test_torsion_check_raises_internal_error():
-    a = new_unicyclization(Multigraph(2, ((0, 1), (0, 1), (0, 1))), IntMatrix.from_columns([[2, -2, 0]]))
-    assert a.torsion_order == 2
-    with pytest.raises(InternalError):
-        standard_harmonic_cycle(dataclasses.replace(a, torsion_order=1))
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(unicyclized_multigraphs())
+def test_random_harmonic_round_trip(a):
+    lam = standard_harmonic_cycle(a)
+    rebuilt, scale = harmonic_to_unicyclizer(a.graph, lam, a.partial)
+    b = new_unicyclization(a.graph, rebuilt)
+    assert tuple(scale * x for x in standard_harmonic_cycle(b)) == lam
+    assert abs(scale) == a.torsion_order
+    assert b.torsion_order == 1
+
+
+def test_build_lambda_and_split_need_no_smith_form_or_enumeration(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed-form path called a Smith form or an enumeration")
+
+    n = 10
+    circulant = Multigraph(n, tuple(e for i in range(n) for e in ((i, (i + 1) % n), (i, (i + 2) % n))))
+    rng = random.Random(5)
+    partial = None
+    while partial is None:
+        partial = random_unicyclizer(circulant, lambda size: [rng.randint(-2, 2) for _ in range(size)])
+    monkeypatch.setattr(winding, "smith_normal_form", forbidden)
+    monkeypatch.setattr(winding, "cycletrees", forbidden)
+    for g, partial in [*exhaustive_family(4, 6, 2, per_graph=2), (circulant, partial)]:
+        a = new_unicyclization(g, partial)
+        lam = standard_harmonic_cycle(a)
+        for edge in range(g.edge_count):
+            with_edge, without_edge = split_standard_cycle(a, edge)
+            assert tuple(x + y for x, y in zip(with_edge, without_edge)) == lam
 
 
 def test_deletion_past_the_enumeration_cap():
@@ -181,3 +219,10 @@ def test_cli_past_the_enumeration_cap(tmp_path, capsys):
     assert main(["winding", str(path), "--chain=" + ",".join(map(str, chain))]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"value": str(Fraction(lam[0], k)), "cycle": False}
+
+    for flags in ([], ["--raw-sign"]):
+        assert main(["lambda", str(path), *flags]) == 0
+        lam = json.loads(capsys.readouterr().out)["lambda"]
+        assert main(["split", str(path), "--edge", "0", *flags]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [x + y for x, y in zip(out["with_edge"], out["without_edge"])] == lam

@@ -7,8 +7,11 @@ from hx.errors import EnumerationCapError, NotConnectedError
 from hx.graphs import Multigraph, contract, delete, incidence_matrix, is_connected
 from hx.intlinalg import mat_vec
 from hx.spanning import (
+    GRAPH_CACHE_SIZE,
+    _cycletrees_cached,
+    _spanning_trees_cached,
+    _tree_number_cached,
     cycletrees,
-    express_in_basis,
     fundamental_basis,
     lexmin_spanning_tree,
     spanning_trees,
@@ -142,15 +145,6 @@ def test_fundamental_basis_rejects_non_tree():
         fundamental_basis(THETA, {0, 1})
 
 
-def test_express_in_basis_examples():
-    basis = fundamental_basis(THETA, {0})
-    assert express_in_basis((-1, 1, 0), basis) == (1, 0)
-    assert express_in_basis((1, -1, 0), basis) == (-1, 0)
-    assert express_in_basis((0, 0, 0), basis) == (0, 0)
-    with pytest.raises(ValueError):
-        express_in_basis((1, 0, 0), basis)
-
-
 def test_express_reconstruction_round_trip():
     rng = random.Random(5)
     for g in connected_multigraphs(4, 5):
@@ -162,7 +156,7 @@ def test_express_reconstruction_round_trip():
             for c, z in zip(coeffs, basis.cycles):
                 for e, v in enumerate(z):
                     chain[e] += c * v
-            assert express_in_basis(tuple(chain), basis) == coeffs
+            assert tuple(chain[e] for e in basis.non_tree_edges) == coeffs
 
 
 def all_connected_multigraphs_labeled(max_vertices, max_edges):
@@ -207,3 +201,17 @@ def test_cycletree_bijections_family():
             else:
                 assert through == len(cycletrees(contracted))
             assert len(all_cts) == through + u_deleted
+
+
+def test_graph_caches_are_bounded():
+    caches = (_spanning_trees_cached, _cycletrees_cached, _tree_number_cached, connected_multigraphs)
+    kinds = ((0, 1), (1, 0), (0, 0), (1, 1))
+    for i in range(GRAPH_CACHE_SIZE + 8):
+        # A distinct cheap graph per i: an edge 0-1 plus seven edges chosen by the base-4 digits of i.
+        g = Multigraph(2, ((0, 1),) + tuple(kinds[(i >> (2 * d)) & 3] for d in range(7)))
+        spanning_trees(g)
+        cycletrees(g)
+        tree_number(g)
+        connected_multigraphs(0, i)
+        assert all(cache.cache_info().currsize <= GRAPH_CACHE_SIZE for cache in caches)
+    assert all(cache.cache_info().currsize == GRAPH_CACHE_SIZE for cache in caches)
