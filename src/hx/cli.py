@@ -124,7 +124,6 @@ def _cmd_homology(doc, args) -> tuple[dict, int]:
         x = complex_from_boundaries(boundary, doc.unicyclizer)
     else:
         x = complex_from_boundaries(boundary)
-    x.check_dim(args.dim)
     group = homology_group(x, args.dim)
     return {"dim": args.dim, "rank": group.rank, "torsion": list(group.torsion)}, 0
 

@@ -13,16 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError
-from .intlinalg import (
-    IntMatrix,
-    kernel_basis,
-    kernel_lattice_basis,
-    mat_vec,
-    rank,
-    smith_normal_form,
-    solve_exact,
-    vstack,
-)
+from .intlinalg import IntMatrix, _echelon, kernel_basis, mat_vec, smith_normal_form, vstack
 
 
 @dataclass(frozen=True)
@@ -110,24 +101,29 @@ def harmonic_basis(x: ChainComplex, i: int) -> list[tuple[int, ...]]:
 def homology_group(x: ChainComplex, i: int) -> HomologyGroup:
     """Free rank and torsion of the i-th integral homology group.
 
-    Torsion comes from the Smith normal form of the (i+1)-st boundary map
-    re-expressed in a lattice basis of the i-cycles.
+    The cycles are a direct summand of the chains, because the boundaries
+    one dimension down form a free group; so the torsion of H_i is the
+    torsion of the cokernel of the (i+1)-st boundary, read off its Smith
+    diagonal. One echelon form of the i-th boundary often gives the cycles
+    a Z-basis: when its common pivot value d divides every entry, the
+    kernel vectors with a single free column set to 1 are integral, and a
+    cycle's coordinates are its entries at the free columns (this always
+    holds for an incidence matrix, which is totally unimodular). The Smith
+    form then runs on those rows of the (i+1)-st boundary only. Zero rows
+    change no invariant factor and are dropped first.
     """
     x.check_dim(i)
     down = x.boundary(i)
+    rows, pivots, d = _echelon(down)
+    pivot_set = set(pivots)
+    free = [c for c in range(down.cols) if c not in pivot_set]
     up = x.boundary(i + 1)
-    cycles = kernel_lattice_basis(down)
-    coords = []
-    for j in range(up.cols):
-        solution = solve_exact(cycles, up.column(j))
-        if solution is None:
-            raise DimensionError("boundary image does not lie in the cycle lattice")
-        coords.append([int(v) for v in solution])
-    expressed = IntMatrix.from_columns(coords, rows=cycles.cols)
-    diag = smith_normal_form(expressed).diag
+    if all(v % d == 0 for row in rows for v in row):
+        up = up.select_rows(free)
+    diag = smith_normal_form(up.select_rows([r for r in range(up.rows) if any(up.row(r))])).diag
     return HomologyGroup(
-        rank=cycles.cols - rank(up),
-        torsion=tuple(d for d in diag if d > 1),
+        rank=len(free) - len(diag),
+        torsion=tuple(v for v in diag if v > 1),
     )
 
 

@@ -187,18 +187,20 @@ def select_independent_columns(m: IntMatrix) -> IntMatrix:
 def face_lattice_basis(faces: IntMatrix) -> IntMatrix:
     """Z-basis of the lattice that all the face columns span.
 
-    The greedy independent subset when it generates every face over Z, so
-    the presentation is kept; otherwise the Smith basis d_i S e_i of the
-    column lattice (faces = S D T with T unimodular). Either way the torsion
-    matches the homology of the complex with all the faces.
+    The greedy independent subset, that is the pivot columns of the echelon
+    form, when it generates every face over Z, so the presentation is kept;
+    otherwise the Smith basis d_i S e_i of the column lattice (faces = S D T
+    with T unimodular). Face j is the sum of rows[i][j] / d times kept
+    column i, so the kept columns generate every face exactly when the
+    common pivot value d divides every entry of the echelon rows. Either way
+    the torsion matches the homology of the complex with all the faces.
     """
-    kept = select_independent_columns(faces)
-    for j in range(faces.cols):
-        if any(x.denominator != 1 for x in solve_exact(kept, faces.column(j))):
-            snf = smith_normal_form(faces)
-            columns = [[d * x for x in snf.s.column(i)] for i, d in enumerate(snf.diag)]
-            return IntMatrix.from_columns(columns, rows=faces.rows)
-    return kept
+    rows, kept, d = _echelon(faces)
+    if any(v % d for row in rows for v in row):
+        snf = smith_normal_form(faces)
+        columns = [[f * x for x in snf.s.column(i)] for i, f in enumerate(snf.diag)]
+        return IntMatrix.from_columns(columns, rows=faces.rows)
+    return IntMatrix.from_columns([faces.column(c) for c in kept], rows=faces.rows)
 
 
 def from_cw(x: ChainComplex) -> Unicyclization:

@@ -190,25 +190,41 @@ def test_disconnected_graph_is_input_error(tmp_path, capsys):
     assert code == 2 and "connected" in err
 
 
-def test_huge_vertex_count_fails_fast(tmp_path):
-    # A billion vertices and no edges: connectivity must be refused from the
-    # edge count, before any per-vertex allocation. The child runs under a
-    # 512 MB address-space limit, so a per-vertex allocation exits 3 instead.
-    path = tmp_path / "huge.json"
-    path.write_text('{"vertices": 1000000000, "edges": []}')
+def run_limited(*argv):
+    """Run hx in a child process under a 512 MB address-space limit, so a
+    per-vertex allocation on a huge document exits 3 instead of exhausting memory."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
+    return subprocess.run(
+        [sys.executable, "-m", "hx.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_memory,
+    )
+
+
+def test_huge_vertex_count_fails_fast(tmp_path):
+    # A billion vertices and no edges: connectivity must be refused from the
+    # edge count, before any per-vertex allocation.
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices": 1000000000, "edges": []}')
     for command in ("validate", "lambda", "trees"):
-        done = subprocess.run(
-            [sys.executable, "-m", "hx.cli", command, str(path)],
-            capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_memory,
-        )
+        done = run_limited(command, str(path))
         assert done.returncode == 2, done.stderr
         assert done.stdout == "" and "not connected" in done.stderr
+
+
+def test_homology_of_many_isolated_vertices(tmp_path):
+    # Zero rows change no invariant factor, so no Smith transform grows with
+    # the vertex count.
+    path = tmp_path / "edgeless.json"
+    path.write_text('{"vertices": 20000, "edges": []}')
+    for dim, rank in ((0, 20000), (1, 0)):
+        done = run_limited("homology", str(path), "--dim", str(dim))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"dim": dim, "rank": rank, "torsion": []}
 
 
 def test_enumeration_cap_checked_before_build(tmp_path, capsys):

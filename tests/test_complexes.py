@@ -14,7 +14,7 @@ from hx.complexes import (
 )
 from hx.errors import DimensionError
 from hx.graphs import Multigraph, incidence_matrix
-from hx.intlinalg import IntMatrix, kernel_basis, mat_vec, smith_normal_form
+from hx.intlinalg import IntMatrix, _echelon, kernel_basis, mat_vec, smith_normal_form
 from hx.verify import exhaustive_family
 
 THETA = Multigraph(2, ((0, 1), (0, 1), (0, 1)))
@@ -125,9 +125,33 @@ def family_complexes():
         yield complex_from_boundaries(incidence_matrix(g), partial)
 
 
+def seeded_complexes(count=300, seed=29):
+    """Complexes whose first boundary has entries in +-3, so its echelon form
+    need not have integral kernel vectors; the second boundary's columns are
+    integer combinations of the first one's primitive kernel vectors."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        vertices, edges = rng.randint(1, 4), rng.randint(1, 6)
+        d1 = IntMatrix(vertices, edges, tuple(rng.randint(-3, 3) for _ in range(vertices * edges)))
+        kernel = kernel_basis(d1)
+        columns = []
+        for _ in range(rng.randint(0, 4)):
+            column = [0] * edges
+            for v in kernel:
+                q = rng.randint(-3, 3)
+                column = [a + q * b for a, b in zip(column, v)]
+            columns.append(column)
+        yield complex_from_boundaries(d1, IntMatrix.from_columns(columns, rows=edges))
+
+
+def integral_echelon(m):
+    rows, _, d = _echelon(m)
+    return all(v % d == 0 for row in rows for v in row)
+
+
 def test_hodge_rank_equality_family():
-    for x in family_complexes():
-        for i in (0, 1):
+    for x in (*family_complexes(), *seeded_complexes()):
+        for i in range(x.dimension + 1):
             assert len(harmonic_basis(x, i)) == homology_group(x, i).rank
 
 
@@ -142,10 +166,14 @@ def test_harmonic_vectors_are_cycles_and_cocycles():
 
 def test_torsion_matches_plain_snf_oracle():
     # Independent route: the invariant factors > 1 of the raw (i+1)-boundary.
-    for x in family_complexes():
-        for i in (0, 1):
+    routes = set()
+    for x in (*family_complexes(), *seeded_complexes()):
+        for i in range(x.dimension + 1):
+            routes.add(integral_echelon(x.boundary(i)))
             expected = tuple(d for d in smith_normal_form(x.boundary(i + 1)).diag if d > 1)
             assert homology_group(x, i).torsion == expected
+    # Both the cycle-coordinate route and the full-boundary route ran.
+    assert routes == {True, False}
 
 
 def test_energy_minimization_family():

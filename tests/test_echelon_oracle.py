@@ -1,13 +1,28 @@
-"""The integer elimination kernel against sympy, used here as an independent oracle."""
+"""The integer elimination kernel and what reads off it, against sympy and
+against the older per-column routes kept here as independent oracles."""
 
 import random
 
 import pytest
 import sympy
 
+import hx.intlinalg
+import hx.winding
+from hx.complexes import complex_from_boundaries, homology_group
 from hx.errors import DimensionError
-from hx.intlinalg import IntMatrix, invert_unimodular, kernel_basis, mat_vec, rank, solve_exact
-from hx.winding import select_independent_columns
+from hx.graphs import incidence_matrix
+from hx.intlinalg import (
+    IntMatrix,
+    invert_unimodular,
+    kernel_basis,
+    mat_vec,
+    rank,
+    smith_normal_form,
+    solve_exact,
+)
+from hx.spanning import fundamental_basis, lexmin_spanning_tree
+from hx.verify import connected_multigraphs, exhaustive_family
+from hx.winding import face_lattice_basis, select_independent_columns
 
 BOUND = 9
 
@@ -162,3 +177,57 @@ def test_select_independent_columns_matches_greedy_rank_loop():
     rng = random.Random(23)
     for m in shapes(rng):
         assert select_independent_columns(m) == greedy_independent_columns(m)
+
+
+def solve_per_column_face_lattice_basis(faces: IntMatrix) -> IntMatrix:
+    """One exact solve per face column against the kept columns."""
+    kept = select_independent_columns(faces)
+    for j in range(faces.cols):
+        if any(x.denominator != 1 for x in solve_exact(kept, faces.column(j))):
+            snf = smith_normal_form(faces)
+            columns = [[d * x for x in snf.s.column(i)] for i, d in enumerate(snf.diag)]
+            return IntMatrix.from_columns(columns, rows=faces.rows)
+    return kept
+
+
+def face_matrices(rng):
+    """Random integer combinations of each small graph's fundamental cycles, plus the shapes above."""
+    for g in connected_multigraphs(4, 6):
+        cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
+        for _ in range(6):
+            columns = []
+            for _ in range(rng.randint(0, 4)):
+                column = [0] * g.edge_count
+                for z in cycles:
+                    q = rng.randint(-3, 3)
+                    column = [a + q * b for a, b in zip(column, z)]
+                columns.append(column)
+            yield IntMatrix.from_columns(columns, rows=g.edge_count)
+    yield from shapes(rng)
+
+
+def test_face_lattice_basis_matches_solve_per_column():
+    rng = random.Random(41)
+    smith_branch = kept_branch = 0
+    for faces in face_matrices(rng):
+        basis = face_lattice_basis(faces)
+        assert basis == solve_per_column_face_lattice_basis(faces)
+        if basis == select_independent_columns(faces):
+            kept_branch += 1
+        else:
+            smith_branch += 1
+    assert smith_branch > 0 and kept_branch > 0
+
+
+def test_homology_and_face_lattice_need_no_solve_or_unimodular_inverse(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("no exact solve or unimodular inverse expected")
+
+    monkeypatch.setattr(hx.intlinalg, "invert_unimodular", forbidden)
+    monkeypatch.setattr(hx.winding, "solve_exact", forbidden)
+    for g, partial in exhaustive_family(4, 5, 2, per_graph=2, seed=3):
+        x = complex_from_boundaries(incidence_matrix(g), partial)
+        for i in range(3):
+            homology_group(x, i)
+    for faces in face_matrices(random.Random(43)):
+        face_lattice_basis(faces)
