@@ -44,7 +44,6 @@ from .intlinalg import (
     det,
     gcd_of_vector,
     kernel_basis,
-    kernel_lattice_basis,
     rank,
     smith_normal_form,
 )

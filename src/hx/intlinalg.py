@@ -2,8 +2,8 @@
 
 Everything here is exact: matrices hold arbitrary-precision Python ints.
 One fraction-free Gauss-Jordan routine, ``_echelon``, does all elimination
-in integers and gives rank, primitive kernel vectors, exact solves (one
-common denominator) and unimodular inverses. Determinants use a forward-only
+in integers and gives rank and primitive kernel vectors; its callers read
+exact solutions off the same echelon form. Determinants use a forward-only
 Bareiss loop, and the Smith normal form is computed by gcd reduction while
 tracking the unimodular row and column transforms.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionError
@@ -386,43 +385,3 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         diag=tuple(d[i][i] for i in range(r)),
     )
 
-
-def solve_exact(a: IntMatrix, b: Sequence[int]) -> list[Fraction] | None:
-    """Solve a*x = b exactly for an integer vector b, when ``a`` has full column rank.
-
-    Returns None when the system is inconsistent. Raises if the columns of
-    ``a`` are linearly dependent (no unique solution to report).
-    """
-    if len(b) != a.rows:
-        raise DimensionError(f"rhs length {len(b)} != {a.rows} rows")
-    augmented = IntMatrix.from_rows([list(a.row(i)) + [b[i]] for i in range(a.rows)], cols=a.cols + 1)
-    rows, pivots, d = _echelon(augmented)
-    if pivots[: a.cols] != list(range(a.cols)):
-        raise DimensionError("matrix does not have full column rank")
-    if len(pivots) > a.cols:
-        return None
-    return [Fraction(rows[i][a.cols], d) for i in range(a.cols)]
-
-
-def invert_unimodular(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    if u.rows != u.cols:
-        raise DimensionError("cannot invert a non-square matrix")
-    n = u.rows
-    augmented = IntMatrix.from_rows(
-        [list(u.row(i)) + [1 if i == j else 0 for j in range(n)] for i in range(n)], cols=2 * n
-    )
-    rows, pivots, d = _echelon(augmented)
-    if pivots != list(range(n)):
-        raise DimensionError("matrix is singular")
-    if abs(d) != 1:
-        raise DimensionError("matrix is not unimodular")
-    return IntMatrix.from_rows([[d * x for x in row[n:]] for row in rows], cols=n)
-
-
-def kernel_lattice_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a Z-basis of the saturated integer kernel lattice of m."""
-    snf = smith_normal_form(m)
-    r = len(snf.diag)
-    t_inv = invert_unimodular(snf.t)
-    return IntMatrix.from_columns([t_inv.column(j) for j in range(r, m.cols)], rows=m.cols)

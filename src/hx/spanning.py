@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, NotConnectedError
 from .graphs import (
     Multigraph,
     incidence_matrix,
@@ -79,8 +79,13 @@ def spanning_trees(g: Multigraph, cap: int | None = None) -> list[frozenset[int]
 
 
 def lexmin_spanning_tree(g: Multigraph) -> frozenset[int]:
-    """Greedy matroid construction of the lexicographically smallest tree."""
-    require_connected(g)
+    """Greedy matroid construction of the lexicographically smallest tree.
+
+    The graph is connected exactly when V - 1 edges get chosen; fewer than
+    V - 1 edges are refused before any per-vertex work.
+    """
+    if g.edge_count < g.vertex_count - 1:
+        raise NotConnectedError("graph is not connected")
     parent = list(range(g.vertex_count))
 
     def find(v):
@@ -95,17 +100,15 @@ def lexmin_spanning_tree(g: Multigraph) -> frozenset[int]:
         if rt != rh:
             parent[max(rt, rh)] = min(rt, rh)
             chosen.append(e)
+    if len(chosen) != g.vertex_count - 1:
+        raise NotConnectedError("graph is not connected")
     return frozenset(chosen)
 
 
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def tree_number(g: Multigraph) -> int:
     """Number of spanning trees, by the reduced dim-0 Laplacian determinant."""
     require_connected(g)
-    return _tree_number_cached(g)
-
-
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _tree_number_cached(g: Multigraph) -> int:
     boundary = incidence_matrix(g)
     laplacian = boundary @ boundary.transpose()
     n = g.vertex_count
@@ -222,8 +225,10 @@ def _tree_path(g: Multigraph, tree: frozenset[int], start: int, goal: int) -> li
 
 
 def fundamental_basis(g: Multigraph, tree) -> CycleBasis:
-    """Fundamental cycles of the non-tree edges, in increasing edge id."""
-    require_connected(g)
+    """Fundamental cycles of the non-tree edges, in increasing edge id.
+
+    A graph with a spanning tree is connected, so no separate check is made.
+    """
     tree = frozenset(tree)
     for e in tree:
         g.check_edge(e)

@@ -28,7 +28,6 @@ from .graphs import (
     delete,
     incidence_matrix,
     is_connected,
-    require_connected,
 )
 from .intlinalg import (
     IntMatrix,
@@ -36,11 +35,9 @@ from .intlinalg import (
     dot,
     gcd_of_vector,
     kernel_basis,
-    kernel_lattice_basis,
     mat_vec,
     rank,
     smith_normal_form,
-    solve_exact,
     vstack,
     _echelon,
     _primitive,
@@ -124,7 +121,7 @@ class WindingReport:
 
 def check_axioms(g: Multigraph, partial: IntMatrix) -> list[tuple[int, bool, str]]:
     """Evaluate the three unicyclizer axioms, reporting each separately."""
-    require_connected(g)
+    cycle_rank = corank(g)
     if partial.rows != g.edge_count:
         raise DimensionError(
             f"unicyclizer has {partial.rows} rows, graph has {g.edge_count} edges"
@@ -135,7 +132,7 @@ def check_axioms(g: Multigraph, partial: IntMatrix) -> list[tuple[int, bool, str
     results.append((1, ok1, "columns are linearly independent" if ok1 else f"column rank {r} < {partial.cols}"))
     ok2 = (incidence_matrix(g) @ partial).is_zero()
     results.append((2, ok2, "incidence times unicyclizer is zero" if ok2 else "incidence times unicyclizer is nonzero"))
-    quotient = corank(g) - r
+    quotient = cycle_rank - r
     ok3 = quotient == 1
     results.append((3, ok3, f"cycle-space quotient has rank {quotient}"))
     return results
@@ -231,7 +228,6 @@ def from_cw(x: ChainComplex) -> Unicyclization:
         else:
             raise ValueError(f"column {j} is not an incidence column of a multigraph")
     g = Multigraph(d1.rows, tuple(edges))
-    require_connected(g)
     faces = x.boundary(2)
     h1_rank = corank(g) - rank(faces)
     if h1_rank != 1:
@@ -393,6 +389,26 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x0, y0
 
 
+def _clear_row(columns: list[list[int]], i: int) -> None:
+    """Column operations of determinant 1, in place, that leave row i nonzero
+    only in the last column, which ends with +-gcd of the row there.
+
+    Each earlier column j is paired with the last by one extended-gcd step
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4): with
+    g = x a + y b for a, b their entries in row i, they become
+    (b/g) col_j - (a/g) col_last and x col_j + y col_last.
+    """
+    for j in range(len(columns) - 1):
+        lead = columns[j][i]
+        if lead == 0:
+            continue
+        col_j, col_last = columns[j], columns[-1]
+        gg, x, y = _xgcd(lead, col_last[i])
+        lead_g, corner_g = lead // gg, col_last[i] // gg
+        columns[j] = [corner_g * p - lead_g * q for p, q in zip(col_j, col_last)]
+        columns[-1] = [x * p + y * q for p, q in zip(col_j, col_last)]
+
+
 def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization, int]:
     """Delete an edge whose unicyclizer row is nonzero.
 
@@ -427,16 +443,7 @@ def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization,
     columns = [[a.partial[e, j] for e in order] for j in range(a.partial.cols)]
     last = a.cycle_rank - 1
     ncols = len(columns)
-    for j in range(ncols - 1):
-        lead = columns[j][last]
-        if lead == 0:
-            continue
-        corner = columns[ncols - 1][last]
-        gg, x, y = _xgcd(lead, corner)
-        lead_g, corner_g = lead // gg, corner // gg
-        col_j, col_last = columns[j], columns[ncols - 1]
-        columns[j] = [corner_g * p - lead_g * q for p, q in zip(col_j, col_last)]
-        columns[ncols - 1] = [x * p + y * q for p, q in zip(col_j, col_last)]
+    _clear_row(columns, last)
     det_u = -1 if columns[ncols - 1][last] < 0 else 1
     columns[ncols - 1] = [det_u * v for v in columns[ncols - 1]]
     if columns[ncols - 1][last] != n_sigma:
@@ -477,14 +484,18 @@ def winding_report(a: Unicyclization, chain: Sequence) -> WindingReport:
 def harmonic_to_unicyclizer(
     g: Multigraph, chain: Sequence, faces: IntMatrix
 ) -> tuple[IntMatrix, Fraction]:
-    """Rebuild a rank-one face matrix from a harmonic cycle.
+    """Rebuild a unicyclizer from a harmonic cycle of the complex (graph, faces).
 
-    Given a harmonic cycle of the complex (graph, faces), forms the lattice
-    of integer cycles orthogonal to it, extends the face columns to a basis
-    of that lattice, and returns the basis together with the rational scale
-    relating the input to the standard harmonic cycle it induces.
+    Returns a Z-basis of L, the lattice of integer cycles orthogonal to the
+    chain h, with the rational scale relating h to the standard harmonic
+    cycle it induces. With B the lexmin tree's fundamental basis, L is
+    B ker_Z(u) for u the primitive B^T h: clearing the last row of [I; u] by
+    ``_clear_row`` gives a unimodular U with uU = (0, ..., 0, g), so x is in
+    ker_Z(u) exactly when U^-1 x ends in 0, and U's first m - 1 columns
+    are a Z-basis of it. Negating one column flips every winding, so when the
+    basis has a column the scale is made positive. The faces only define
+    the complex in which h must be harmonic; each is in L by the checks.
     """
-    require_connected(g)
     if len(chain) != g.edge_count:
         raise DimensionError(f"chain length {len(chain)} != {g.edge_count} edges")
     if faces.rows != g.edge_count:
@@ -500,21 +511,20 @@ def harmonic_to_unicyclizer(
         if dot(chain, faces.column(j)) != 0:
             raise ValueError(f"chain is not orthogonal to face column {j} (not harmonic)")
 
-    direction = _primitive(chain)
-    stacked = vstack(incid, IntMatrix.from_rows([list(direction)]))
-    lattice = kernel_lattice_basis(stacked)
-    coord_columns = []
-    for j in range(faces.cols):
-        solution = solve_exact(lattice, faces.column(j))
-        if solution is None or any(x.denominator != 1 for x in solution):
-            raise ValueError("face column does not lie in the orthogonal cycle lattice")
-        coord_columns.append([int(x) for x in solution])
-    face_coords = IntMatrix.from_columns(coord_columns, rows=lattice.cols)
-    rebased = lattice @ smith_normal_form(face_coords).s
-    rebuilt = new_unicyclization(g, rebased)
-    lam = standard_harmonic_cycle(rebuilt)
+    cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
+    m = len(cycles)
+    u = _primitive([dot(z, chain) for z in cycles])
+    columns = [[int(r == j) for r in range(m)] + [u[j]] for j in range(m)]
+    _clear_row(columns, m)
+    lattice = IntMatrix.from_columns(cycles, rows=g.edge_count) @ IntMatrix.from_columns(
+        [col[:m] for col in columns[:-1]], rows=m
+    )
+    lam = standard_harmonic_cycle(new_unicyclization(g, lattice))
     pivot = next(e for e, c in enumerate(lam) if c != 0)
     scale = Fraction(chain[pivot], 1) / lam[pivot]
     if any(Fraction(chain[e]) != scale * lam[e] for e in range(g.edge_count)):
         raise ValueError("chain is not proportional to the induced standard harmonic cycle")
-    return rebased, scale
+    if scale < 0 and lattice.cols:
+        columns = [[-x for x in lattice.column(0)]] + [lattice.column(j) for j in range(1, lattice.cols)]
+        return IntMatrix.from_columns(columns, rows=g.edge_count), -scale
+    return lattice, scale

@@ -9,6 +9,7 @@ import pytest
 
 from hx import cli
 from hx.cli import main
+from hx.documents import MAX_VERTICES
 from hx.errors import InternalError
 
 THETA_DOC = '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[1,-1,0]]}'
@@ -206,10 +207,16 @@ def run_limited(*argv):
 
 
 def test_huge_vertex_count_fails_fast(tmp_path):
-    # A billion vertices and no edges: connectivity must be refused from the
-    # edge count, before any per-vertex allocation.
+    # A billion vertices is refused at the document boundary by every command.
     path = tmp_path / "huge.json"
     path.write_text('{"vertices": 1000000000, "edges": []}')
+    for argv in (["validate"], ["lambda"], ["trees"], ["homology", "--dim", "0"], ["homology", "--dim", "1"]):
+        done = run_limited(argv[0], str(path), *argv[1:])
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == "" and "above the limit" in done.stderr
+    # At the bound and with no edges, connectivity must be refused from the
+    # edge count, before any per-vertex allocation.
+    path.write_text(json.dumps({"vertices": MAX_VERTICES, "edges": []}))
     for command in ("validate", "lambda", "trees"):
         done = run_limited(command, str(path))
         assert done.returncode == 2, done.stderr

@@ -137,6 +137,8 @@ def test_random_harmonic_round_trip(a):
     b = new_unicyclization(a.graph, rebuilt)
     assert tuple(scale * x for x in standard_harmonic_cycle(b)) == lam
     assert abs(scale) == a.torsion_order
+    if rebuilt.cols > 0:
+        assert scale == a.torsion_order
     assert b.torsion_order == 1
 
 
@@ -158,6 +160,7 @@ def test_build_lambda_and_split_need_no_smith_form_or_enumeration(monkeypatch):
         for edge in range(g.edge_count):
             with_edge, without_edge = split_standard_cycle(a, edge)
             assert tuple(x + y for x, y in zip(with_edge, without_edge)) == lam
+        harmonic_to_unicyclizer(g, lam, partial)
 
 
 def test_deletion_past_the_enumeration_cap():

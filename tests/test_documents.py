@@ -1,6 +1,7 @@
 import pytest
 
 from hx.documents import (
+    MAX_VERTICES,
     ComplexDocument,
     build_graph,
     build_unicyclization,
@@ -57,6 +58,9 @@ def test_parse_rejects_bad_vertices():
         parse_document('{"vertices":0,"edges":[]}')
     with pytest.raises(DocumentError):
         parse_document('{"vertices":true,"edges":[]}')
+    with pytest.raises(DocumentError, match="above the limit"):
+        parse_document(f'{{"vertices":{MAX_VERTICES + 1},"edges":[]}}')
+    assert parse_document(f'{{"vertices":{MAX_VERTICES},"edges":[]}}').vertices == MAX_VERTICES
 
 
 def test_parse_rejects_out_of_range_edges():
@@ -78,6 +82,8 @@ def test_basis_tree_validation():
         parse_document('{"vertices":2,"edges":[[0,1],[0,1]],"basis_tree":[5]}')
     with pytest.raises(DocumentError, match="duplicate"):
         parse_document('{"vertices":2,"edges":[[0,1],[0,1]],"basis_tree":[0,0]}')
+    with pytest.raises(DocumentError, match="basis_tree: edge set is not a spanning tree"):
+        parse_document('{"vertices":3,"edges":[[0,1],[0,1]],"basis_tree":[0]}')
 
 
 def test_round_trip_documents():

@@ -9,13 +9,10 @@ from hx.intlinalg import (
     IntMatrix,
     det,
     gcd_of_vector,
-    invert_unimodular,
     kernel_basis,
-    kernel_lattice_basis,
     mat_vec,
     rank,
     smith_normal_form,
-    solve_exact,
 )
 
 
@@ -142,44 +139,9 @@ def test_gcd_of_vector():
     assert gcd_of_vector(()) == 0
 
 
-def test_solve_exact_unique_and_inconsistent():
-    a = IntMatrix.from_columns([[1, 0, 1], [0, 1, 1]])
-    assert solve_exact(a, [2, 3, 5]) == [2, 3]
-    assert solve_exact(a, [2, 3, 6]) is None
-
-
 @pytest.mark.parametrize("entry", [Fraction(3, 2), 0.9, Fraction(-1, 2), Fraction(2, 1), True])
 def test_constructors_reject_non_integer_entries(entry):
     with pytest.raises(DimensionError):
         IntMatrix.from_rows([[1, entry]])
     with pytest.raises(DimensionError):
         IntMatrix.from_columns([[1, entry]])
-
-
-def test_solve_exact_rejects_non_integer_rhs():
-    a = IntMatrix.from_columns([[1, 0, 1], [0, 1, 1]])
-    with pytest.raises(DimensionError):
-        solve_exact(a, [Fraction(1, 2), 0, Fraction(1, 2)])
-
-
-def test_invert_unimodular_round_trip():
-    u = IntMatrix.from_rows([[2, 1], [1, 1]])
-    assert u @ invert_unimodular(u) == IntMatrix.identity(2)
-    with pytest.raises(DimensionError):
-        invert_unimodular(IntMatrix.from_rows([[2, 0], [0, 2]]))
-
-
-def test_kernel_lattice_basis_saturated():
-    # Every primitive rational-kernel vector must be an integer combination
-    # of the lattice basis, not just a rational one.
-    rng = random.Random(21)
-    for _ in range(150):
-        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), bound=3)
-        lattice = kernel_lattice_basis(m)
-        assert lattice.cols == m.cols - rank(m)
-        for j in range(lattice.cols):
-            assert all(x == 0 for x in mat_vec(m, lattice.column(j)))
-        for v in kernel_basis(m):
-            coords = solve_exact(lattice, v)
-            assert coords is not None
-            assert all(c.denominator == 1 for c in coords)

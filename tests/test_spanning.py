@@ -10,7 +10,6 @@ from hx.spanning import (
     GRAPH_CACHE_SIZE,
     _cycletrees_cached,
     _spanning_trees_cached,
-    _tree_number_cached,
     cycletrees,
     fundamental_basis,
     lexmin_spanning_tree,
@@ -67,6 +66,10 @@ def test_tree_number_examples():
 def test_lexmin_spanning_tree():
     assert lexmin_spanning_tree(THETA) == frozenset({0})
     assert lexmin_spanning_tree(cycle_graph(4)) == frozenset({0, 1, 2})
+    # Enough edges but two components, and too few edges for a billion vertices.
+    for g in (Multigraph(4, ((0, 1), (0, 1), (2, 3))), Multigraph(10**9, ())):
+        with pytest.raises(NotConnectedError):
+            lexmin_spanning_tree(g)
 
 
 def test_cycletrees_theta():
@@ -204,7 +207,7 @@ def test_cycletree_bijections_family():
 
 
 def test_graph_caches_are_bounded():
-    caches = (_spanning_trees_cached, _cycletrees_cached, _tree_number_cached, connected_multigraphs)
+    caches = (_spanning_trees_cached, _cycletrees_cached, tree_number, connected_multigraphs)
     kinds = ((0, 1), (1, 0), (0, 0), (1, 1))
     for i in range(GRAPH_CACHE_SIZE + 8):
         # A distinct cheap graph per i: an edge 0-1 plus seven edges chosen by the base-4 digits of i.

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hx.complexes import complex_from_boundaries, harmonic_basis
 from hx.errors import DimensionError, EnumerationCapError, UnicyclizerAxiomError
 from hx.graphs import Multigraph, classify_edge, EdgeKind, contract_edges, incidence_matrix
-from hx.intlinalg import IntMatrix, dot, gcd_of_vector, mat_vec, solve_exact
+from hx.intlinalg import IntMatrix, dot, gcd_of_vector, mat_vec
 from hx.spanning import cycletrees, spanning_trees, tree_number
 from hx.verify import cycletree_sum, exhaustive_family
 from hx.winding import (
@@ -326,9 +327,10 @@ def test_harmonic_to_unicyclizer_round_trip():
     lam = standard_harmonic_cycle(a)
     rebuilt, scale = harmonic_to_unicyclizer(THETA, lam, a.partial)
     assert scale == 1
+    basis = sympy.Matrix(rebuilt.rows, rebuilt.cols, list(rebuilt.entries))
     for j in range(a.partial.cols):
-        coords = solve_exact(rebuilt, a.partial.column(j))
-        assert coords is not None and all(c.denominator == 1 for c in coords)
+        coords, free = basis.gauss_jordan_solve(sympy.Matrix(a.partial.column(j)))
+        assert free.rows == 0 and all(c.is_integer for c in coords)
     lam2 = standard_harmonic_cycle(new_unicyclization(THETA, rebuilt))
     assert tuple(scale * c for c in lam2) == lam
 
