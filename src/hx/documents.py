@@ -28,6 +28,13 @@ from .winding import Unicyclization, face_lattice_basis, new_unicyclization
 # edgeless vertices, `homology --dim 0` and `--dim 1` each take about a
 # second and under 100 MB (Python 3.11, one x86-64 core).
 MAX_VERTICES = 1 << 20
+# Largest edge count a document may declare. On the cycle graph with 2^10
+# edges, `validate`, `trees` and `homology --dim 1` each take under a minute
+# and at most 50 MB (same host).
+MAX_EDGES = 1 << 10
+# Largest bit length of a unicyclizer or face entry. Every exact elimination
+# carries intermediates whose size grows with the entries' bits.
+MAX_ENTRY_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,13 @@ def _expect_int(value, where: str) -> int:
     return value
 
 
+def _expect_entry(value, where: str) -> int:
+    entry = _expect_int(value, where)
+    if entry.bit_length() > MAX_ENTRY_BITS:
+        raise DocumentError(f"{where}: {entry.bit_length()}-bit entry is above the limit of {MAX_ENTRY_BITS} bits")
+    return entry
+
+
 def _parse_columns(raw, edge_count: int, where: str) -> IntMatrix:
     if not isinstance(raw, list):
         raise DocumentError(f"{where}: expected a list of columns")
@@ -54,7 +68,7 @@ def _parse_columns(raw, edge_count: int, where: str) -> IntMatrix:
             raise DocumentError(f"{where}[{idx}]: expected a list of integers")
         if len(col) != edge_count:
             raise DocumentError(f"{where}[{idx}]: expected {edge_count} entries, got {len(col)}")
-        columns.append([_expect_int(x, f"{where}[{idx}][{i}]") for i, x in enumerate(col)])
+        columns.append([_expect_entry(x, f"{where}[{idx}][{i}]") for i, x in enumerate(col)])
     return IntMatrix.from_columns(columns, rows=edge_count)
 
 
@@ -76,6 +90,8 @@ def document_from_obj(obj) -> ComplexDocument:
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise DocumentError("edges: expected a list of [tail, head] pairs")
+    if len(raw_edges) > MAX_EDGES:
+        raise DocumentError(f"edges: {len(raw_edges)} edges is above the limit of {MAX_EDGES}")
     edges = []
     for idx, pair in enumerate(raw_edges):
         if not isinstance(pair, list) or len(pair) != 2:

@@ -131,8 +131,12 @@ def unique_cycle(g: Multigraph, edge_ids) -> tuple[int, ...]:
         g.check_edge(e)
     if len(edge_set) != g.vertex_count or not spanning_subgraph_connected(g, edge_set):
         raise ValueError("edge set is not a cycletree (must be spanning, connected, |E| = |V|)")
+    return _walk_unique_cycle(g, edge_set)
 
-    remaining = set(edge_set)
+
+def _walk_unique_cycle(g: Multigraph, edge_ids) -> tuple[int, ...]:
+    """``unique_cycle`` on an edge set already known to be a cycletree, unchecked."""
+    remaining = set(edge_ids)
     degrees = [0] * g.vertex_count
     for e in remaining:
         t, h = g.edges[e]
@@ -184,7 +188,7 @@ def _cycletrees_cached(g: Multigraph) -> tuple[Cycletree, ...]:
     found = []
     for combo in combinations(range(g.edge_count), size):
         if spanning_subgraph_connected(g, combo):
-            found.append(Cycletree(frozenset(combo), unique_cycle(g, combo)))
+            found.append(Cycletree(frozenset(combo), _walk_unique_cycle(g, combo)))
     return tuple(found)
 
 

@@ -233,15 +233,18 @@ def verify_energy_min(a: Unicyclization, trials: int = 100, seed: int = DEFAULT_
     return VerificationReport(describe_instance(a), checks)
 
 
-def _canonical_edges(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    best = None
-    for perm in permutations(range(n)):
-        mapped = tuple(
-            sorted((min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges)
-        )
-        if best is None or mapped < best:
-            best = mapped
-    return best
+def _relabelings(n: int, pair_types: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Each non-identity vertex permutation's action on the pair-type indices.
+
+    The pair types (i, j), i <= j, are in lexicographic order, so comparing
+    sorted index tuples is the same as comparing sorted pair tuples.
+    """
+    index = {pair: k for k, pair in enumerate(pair_types)}
+    return [
+        tuple(index[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in pair_types)
+        for perm in permutations(range(n))
+        if perm != tuple(range(n))
+    ]
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
@@ -250,16 +253,19 @@ def connected_multigraphs(max_vertices: int, max_edges: int) -> tuple[Multigraph
 
     Edges are canonically oriented tail <= head; the representative of each
     class is the lexicographically smallest edge multiset over all vertex
-    permutations.
+    permutations. Each permutation's action on the pair types is computed
+    once per vertex count; a multiset is kept exactly when no permutation
+    maps it to a smaller one, and dropped at the first permutation that does.
     """
     found = []
     for n in range(1, max_vertices + 1):
         pair_types = [(i, j) for i in range(n) for j in range(i, n)]
+        relabelings = _relabelings(n, pair_types)
         for count in range(max_edges + 1):
-            for combo in combinations_with_replacement(pair_types, count):
-                if combo != _canonical_edges(n, combo):
+            for combo in combinations_with_replacement(range(len(pair_types)), count):
+                if any(tuple(sorted([image[k] for k in combo])) < combo for image in relabelings):
                     continue
-                g = Multigraph(n, combo)
+                g = Multigraph(n, tuple(pair_types[k] for k in combo))
                 if is_connected(g):
                     found.append(g)
     return tuple(found)

@@ -9,7 +9,7 @@ import pytest
 
 from hx import cli
 from hx.cli import main
-from hx.documents import MAX_VERTICES
+from hx.documents import MAX_EDGES, MAX_ENTRY_BITS, MAX_VERTICES
 from hx.errors import InternalError
 
 THETA_DOC = '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[1,-1,0]]}'
@@ -221,6 +221,18 @@ def test_huge_vertex_count_fails_fast(tmp_path):
         done = run_limited(command, str(path))
         assert done.returncode == 2, done.stderr
         assert done.stdout == "" and "not connected" in done.stderr
+
+
+def test_edge_and_entry_limits_are_input_errors(tmp_path, capsys):
+    path = tmp_path / "over.json"
+    for doc in (
+        {"vertices": 1, "edges": [[0, 0]] * (MAX_EDGES + 1)},
+        {"vertices": 2, "edges": [[0, 1]] * 3, "unicyclizer": [[1 << MAX_ENTRY_BITS, 0, 0]]},
+    ):
+        path.write_text(json.dumps(doc))
+        code, payload, err = run(capsys, "validate", str(path))
+        assert code == 2 and payload is None
+        assert "above the limit" in err
 
 
 def test_homology_of_many_isolated_vertices(tmp_path):

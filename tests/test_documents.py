@@ -1,6 +1,10 @@
+import json
+
 import pytest
 
 from hx.documents import (
+    MAX_EDGES,
+    MAX_ENTRY_BITS,
     MAX_VERTICES,
     ComplexDocument,
     build_graph,
@@ -61,6 +65,24 @@ def test_parse_rejects_bad_vertices():
     with pytest.raises(DocumentError, match="above the limit"):
         parse_document(f'{{"vertices":{MAX_VERTICES + 1},"edges":[]}}')
     assert parse_document(f'{{"vertices":{MAX_VERTICES},"edges":[]}}').vertices == MAX_VERTICES
+
+
+def test_parse_bounds_the_edge_count():
+    loops = [[0, 0]] * MAX_EDGES
+    assert len(parse_document(json.dumps({"vertices": 1, "edges": loops})).edges) == MAX_EDGES
+    with pytest.raises(DocumentError, match="above the limit"):
+        parse_document(json.dumps({"vertices": 1, "edges": loops + [[0, 0]]}))
+
+
+@pytest.mark.parametrize("key", ["unicyclizer", "faces"])
+def test_parse_bounds_the_entry_bits(key):
+    top = (1 << MAX_ENTRY_BITS) - 1
+    theta = {"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]]}
+    doc = parse_document(json.dumps({**theta, key: [[top, -top, 0]]}))
+    assert getattr(doc, key).column(0) == (top, -top, 0)
+    for entry in (top + 1, -top - 1):
+        with pytest.raises(DocumentError, match=f"{key}\\[0\\]\\[1\\]: .*above the limit of {MAX_ENTRY_BITS} bits"):
+            parse_document(json.dumps({**theta, key: [[1, entry, 0]]}))
 
 
 def test_parse_rejects_out_of_range_edges():

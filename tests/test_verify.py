@@ -1,7 +1,10 @@
+import hashlib
+from itertools import combinations_with_replacement, permutations
+
 import pytest
 
 from hx.errors import UnicyclizerAxiomError
-from hx.graphs import Multigraph, corank
+from hx.graphs import Multigraph, corank, is_connected
 from hx.intlinalg import IntMatrix
 from hx.spanning import cycletrees
 from hx.verify import (
@@ -132,3 +135,47 @@ def test_connected_multigraphs_counts():
         assert g.vertex_count <= 2 and g.edge_count <= 3
     # no two representatives are vertex-relabelings of each other
     assert len(graphs) == len(set(graphs))
+
+
+def _sorted_image(perm, edges):
+    return tuple(sorted((min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges))
+
+
+def _canonical_edges(n, edges):
+    """Oracle: the smallest image of the edge multiset over all n! vertex permutations."""
+    return min(_sorted_image(perm, edges) for perm in permutations(range(n)))
+
+
+def _labeled_connected(max_vertices, max_edges):
+    """Every connected multigraph up to the size, once per labeling (edges tail <= head, sorted)."""
+    for n in range(1, max_vertices + 1):
+        pair_types = [(i, j) for i in range(n) for j in range(i, n)]
+        for count in range(max_edges + 1):
+            for combo in combinations_with_replacement(pair_types, count):
+                if is_connected(Multigraph(n, combo)):
+                    yield n, combo
+
+
+@pytest.mark.parametrize("size", [(4, 6), (5, 4)])
+def test_connected_multigraphs_match_the_sorting_oracle(size):
+    expected = tuple(
+        Multigraph(n, edges) for n, edges in _labeled_connected(*size) if edges == _canonical_edges(n, edges)
+    )
+    assert connected_multigraphs(*size) == expected
+
+
+def test_every_labeled_multigraph_relabels_to_one_representative():
+    representatives = {(g.vertex_count, g.edges) for g in connected_multigraphs(4, 5)}
+    for n, edges in _labeled_connected(4, 5):
+        relabelings = {_sorted_image(perm, edges) for perm in permutations(range(n))}
+        assert sum((n, image) in representatives for image in relabelings) == 1
+
+
+def test_family_stream_digest_is_pinned():
+    # The stream of the acceptance family's shape; any change to the graph
+    # order or the rng draws changes the digest.
+    family = exhaustive_family(4, 6, 2, per_graph=20, seed=2024)
+    stream = repr([(g.vertex_count, g.edges, p.rows, p.cols, p.entries) for g, p in family])
+    assert hashlib.sha256(stream.encode()).hexdigest() == (
+        "792980f456c488fb6043bce8dbb19e82b9a275b54d3e2f731542f3154322a431"
+    )
