@@ -11,28 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .complexes import complex_from_boundaries, homology_group
-from .documents import build_graph, build_unicyclization, parse_document, unicyclizer_columns
-from .errors import DocumentError, EnumerationCapError, NotConnectedError, UnicyclizerAxiomError
-from .graphs import corank, incidence_matrix, require_connected
-from .spanning import check_enumeration_cap, cycletrees, spanning_trees, tree_number
-from .verify import (
-    DEFAULT_SEED,
-    verify_counts,
-    verify_energy_min,
-    verify_harmonicity,
-    verify_inner_product,
-)
-from .winding import (
-    check_axioms,
-    cycletree_windings,
-    sign_normalized,
-    split_standard_cycle,
-    standard_harmonic_cycle,
-    winding_report,
-)
+from .errors import DimensionError, DocumentError, EnumerationCapError, NotConnectedError, UnicyclizerAxiomError
+
+# Each command handler imports the library functions it calls, so a process
+# loads only the modules its command runs.
 
 VERIFY_CHECKS = ("inner_product", "harmonicity", "counts", "energy")
 
@@ -67,16 +50,22 @@ def build_parser() -> argparse.ArgumentParser:
     verify = add("verify", "run brute-force verifiers")
     verify.add_argument("checks", nargs="*", help=f"subset of {', '.join(VERIFY_CHECKS)}")
     verify.add_argument("--all", action="store_true", dest="run_all")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--cap", type=int, default=None)
     return parser
 
 
 def _rational(value) -> str:
+    from fractions import Fraction
+
     return str(Fraction(value))
 
 
-def _cmd_validate(doc) -> tuple[dict, int]:
+def _cmd_validate(doc, args) -> tuple[dict, int]:
+    from .documents import build_graph, build_unicyclization, unicyclizer_columns
+    from .graphs import corank, require_connected
+    from .winding import check_axioms
+
     g = build_graph(doc)
     require_connected(g)
     axioms = check_axioms(g, unicyclizer_columns(doc))
@@ -94,6 +83,9 @@ def _cmd_validate(doc) -> tuple[dict, int]:
 
 
 def _cmd_trees(doc, args) -> tuple[dict, int]:
+    from .documents import build_graph
+    from .spanning import spanning_trees, tree_number
+
     g = build_graph(doc)
     payload: dict = {"k": tree_number(g)}
     if args.list_trees:
@@ -102,6 +94,11 @@ def _cmd_trees(doc, args) -> tuple[dict, int]:
 
 
 def _cmd_cycletrees(doc, args) -> tuple[dict, int]:
+    from .documents import build_graph, build_unicyclization
+    from .graphs import corank, require_connected
+    from .spanning import check_enumeration_cap, cycletrees
+    from .winding import cycletree_windings
+
     g = build_graph(doc)
     require_connected(g)
     if corank(g) == 0 and doc.unicyclizer is None and doc.faces is None:
@@ -116,19 +113,26 @@ def _cmd_cycletrees(doc, args) -> tuple[dict, int]:
 
 
 def _cmd_homology(doc, args) -> tuple[dict, int]:
-    g = build_graph(doc)
-    boundary = incidence_matrix(g)
-    if doc.faces is not None:
-        x = complex_from_boundaries(boundary, doc.faces)
-    elif doc.unicyclizer is not None:
-        x = complex_from_boundaries(boundary, doc.unicyclizer)
-    else:
-        x = complex_from_boundaries(boundary)
+    from .complexes import complex_from_boundaries, homology_group
+    from .documents import build_graph
+    from .graphs import incidence_matrix
+
+    faces = doc.faces if doc.faces is not None else doc.unicyclizer
+    boundaries = [incidence_matrix(build_graph(doc))] + ([] if faces is None else [faces])
+    try:
+        x = complex_from_boundaries(*boundaries)
+    except DimensionError as exc:  # the document's faces are not cycles
+        raise DocumentError(str(exc)) from exc
+    if not 0 <= args.dim <= x.dimension:
+        raise DocumentError(f"dimension {args.dim} out of range 0..{x.dimension}")
     group = homology_group(x, args.dim)
     return {"dim": args.dim, "rank": group.rank, "torsion": list(group.torsion)}, 0
 
 
 def _cmd_lambda(doc, args) -> tuple[dict, int]:
+    from .documents import build_unicyclization
+    from .winding import sign_normalized, standard_harmonic_cycle
+
     a = build_unicyclization(doc)
     lam = standard_harmonic_cycle(a)
     if not args.raw_sign:
@@ -137,6 +141,9 @@ def _cmd_lambda(doc, args) -> tuple[dict, int]:
 
 
 def _cmd_winding(doc, args) -> tuple[dict, int]:
+    from .documents import build_unicyclization
+    from .winding import winding_report
+
     a = build_unicyclization(doc)
     try:
         chain = tuple(int(part.strip()) for part in args.chain.split(","))
@@ -149,7 +156,12 @@ def _cmd_winding(doc, args) -> tuple[dict, int]:
 
 
 def _cmd_split(doc, args) -> tuple[dict, int]:
+    from .documents import build_unicyclization
+    from .winding import split_standard_cycle
+
     a = build_unicyclization(doc)
+    if not 0 <= args.edge < len(doc.edges):
+        raise DocumentError(f"invalid edge id {args.edge} (graph has {len(doc.edges)} edges)")
     with_edge, without_edge = split_standard_cycle(a, args.edge)
     if not args.raw_sign:
         # Flip both parts together so they still sum to the reported lambda.
@@ -161,12 +173,17 @@ def _cmd_split(doc, args) -> tuple[dict, int]:
 
 
 def _cmd_verify(doc, args) -> tuple[dict, int]:
+    from .documents import build_graph, build_unicyclization
+    from .spanning import check_enumeration_cap
+    from .verify import DEFAULT_SEED, verify_counts, verify_energy_min, verify_harmonicity, verify_inner_product
+
     names = list(args.checks)
     unknown = [n for n in names if n not in VERIFY_CHECKS]
     if unknown:
         raise DocumentError(f"unknown checks {unknown}; available: {', '.join(VERIFY_CHECKS)}")
     if args.run_all or not names:
         names = list(VERIFY_CHECKS)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     g = build_graph(doc)
     instance = None
     if set(names) - {"counts"}:
@@ -177,45 +194,41 @@ def _cmd_verify(doc, args) -> tuple[dict, int]:
         if name == "counts":
             reports.append(verify_counts(g, args.cap))
         elif name == "inner_product":
-            reports.append(verify_inner_product(instance, seed=args.seed, cap=args.cap))
+            reports.append(verify_inner_product(instance, seed=seed, cap=args.cap))
         elif name == "harmonicity":
             reports.append(verify_harmonicity(instance))
         elif name == "energy":
-            reports.append(verify_energy_min(instance, seed=args.seed))
+            reports.append(verify_energy_min(instance, seed=seed))
     overall = all(r.overall for r in reports)
     payload = {
         "overall": overall,
-        "seed": args.seed,
+        "seed": seed,
         "reports": [r.to_json() for r in reports],
     }
     return payload, 0 if overall else 1
 
 
+_COMMANDS = {
+    "validate": _cmd_validate,
+    "trees": _cmd_trees,
+    "cycletrees": _cmd_cycletrees,
+    "homology": _cmd_homology,
+    "lambda": _cmd_lambda,
+    "winding": _cmd_winding,
+    "split": _cmd_split,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        from .documents import parse_document
+
         with open(args.file, encoding="utf-8") as handle:
             doc = parse_document(handle.read())
-        if args.command == "validate":
-            payload, code = _cmd_validate(doc)
-        elif args.command == "trees":
-            payload, code = _cmd_trees(doc, args)
-        elif args.command == "cycletrees":
-            payload, code = _cmd_cycletrees(doc, args)
-        elif args.command == "homology":
-            payload, code = _cmd_homology(doc, args)
-        elif args.command == "lambda":
-            payload, code = _cmd_lambda(doc, args)
-        elif args.command == "winding":
-            payload, code = _cmd_winding(doc, args)
-        elif args.command == "split":
-            payload, code = _cmd_split(doc, args)
-        else:
-            payload, code = _cmd_verify(doc, args)
-    except (DocumentError, UnicyclizerAxiomError, NotConnectedError, EnumerationCapError) as exc:
-        print(f"hx: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        payload, code = _COMMANDS[args.command](doc, args)
+    except (DocumentError, UnicyclizerAxiomError, NotConnectedError, EnumerationCapError, OSError) as exc:
         print(f"hx: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # InternalError or a bug: neither the input nor a failed check

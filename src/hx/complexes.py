@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError
-from .intlinalg import IntMatrix, _echelon, kernel_basis, mat_vec, smith_normal_form, vstack
+from .intlinalg import IntMatrix, _echelon, kernel_basis, mat_vec, smith_diagonal, vstack
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def homology_group(x: ChainComplex, i: int) -> HomologyGroup:
     up = x.boundary(i + 1)
     if all(v % d == 0 for row in rows for v in row):
         up = up.select_rows(free)
-    diag = smith_normal_form(up.select_rows([r for r in range(up.rows) if any(up.row(r))])).diag
+    diag = smith_diagonal(up.select_rows([r for r in range(up.rows) if any(up.row(r))]))
     return HomologyGroup(
         rank=len(free) - len(diag),
         torsion=tuple(v for v in diag if v > 1),

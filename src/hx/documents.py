@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DocumentError
 from .graphs import Multigraph
 from .intlinalg import IntMatrix
-from .spanning import fundamental_basis
-from .winding import Unicyclization, face_lattice_basis, new_unicyclization
+
+if TYPE_CHECKING:
+    from .winding import Unicyclization
 
 # Largest vertex count a document may declare. Several commands build lists
 # per vertex, so a huge count with few edges is refused here. At 2^20
@@ -32,6 +34,13 @@ MAX_VERTICES = 1 << 20
 # edges, `validate`, `trees` and `homology --dim 1` each take under a minute
 # and at most 50 MB (same host).
 MAX_EDGES = 1 << 10
+# Largest product of the vertex and edge counts, the entry count of the dense
+# incidence matrix that `homology` eliminates. At 2^20 vertices with 4
+# parallel edges (2^22 entries), `homology --dim 0` and `--dim 1` peak at
+# 128 and 153 MB; 2^24 entries peak at 346 MB, and 2^25 raise MemoryError
+# under a 512 MB address-space limit (same host). Every connected document
+# within MAX_EDGES is far below it.
+MAX_INCIDENCE_ENTRIES = 1 << 22
 # Largest bit length of a unicyclizer or face entry. Every exact elimination
 # carries intermediates whose size grows with the entries' bits.
 MAX_ENTRY_BITS = 64
@@ -92,6 +101,10 @@ def document_from_obj(obj) -> ComplexDocument:
         raise DocumentError("edges: expected a list of [tail, head] pairs")
     if len(raw_edges) > MAX_EDGES:
         raise DocumentError(f"edges: {len(raw_edges)} edges is above the limit of {MAX_EDGES}")
+    if vertices * len(raw_edges) > MAX_INCIDENCE_ENTRIES:
+        raise DocumentError(
+            f"vertices x edges: {vertices} x {len(raw_edges)} is above the limit of {MAX_INCIDENCE_ENTRIES}"
+        )
     edges = []
     for idx, pair in enumerate(raw_edges):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -119,6 +132,8 @@ def document_from_obj(obj) -> ComplexDocument:
                 raise DocumentError(f"basis_tree[{i}]: edge id {e} out of range")
         if len(set(ids)) != len(ids):
             raise DocumentError("basis_tree: duplicate edge ids")
+        from .spanning import fundamental_basis
+
         try:
             fundamental_basis(Multigraph(vertices, tuple(edges)), ids)
         except ValueError as exc:
@@ -163,6 +178,8 @@ def build_graph(doc: ComplexDocument) -> Multigraph:
 def unicyclizer_columns(doc: ComplexDocument) -> IntMatrix:
     """The document's unicyclizer: explicit, a basis of the faces' lattice, or empty."""
     if doc.faces is not None:
+        from .winding import face_lattice_basis
+
         return face_lattice_basis(doc.faces)
     if doc.unicyclizer is not None:
         return doc.unicyclizer
@@ -170,4 +187,6 @@ def unicyclizer_columns(doc: ComplexDocument) -> IntMatrix:
 
 
 def build_unicyclization(doc: ComplexDocument) -> Unicyclization:
+    from .winding import new_unicyclization
+
     return new_unicyclization(build_graph(doc), unicyclizer_columns(doc), basis_tree=doc.basis_tree)

@@ -4,8 +4,9 @@ Everything here is exact: matrices hold arbitrary-precision Python ints.
 One fraction-free Gauss-Jordan routine, ``_echelon``, does all elimination
 in integers and gives rank and primitive kernel vectors; its callers read
 exact solutions off the same echelon form. Determinants use a forward-only
-Bareiss loop, and the Smith normal form is computed by gcd reduction while
-tracking the unimodular row and column transforms.
+Bareiss loop, and the Smith normal form is computed by gcd reduction,
+tracking the unimodular row and column transforms only when the caller
+needs more than the diagonal.
 """
 
 from __future__ import annotations
@@ -282,18 +283,20 @@ def gcd_of_vector(vec: Iterable[int]) -> int:
     return math.gcd(*(int(x) for x in vec)) if vec else 0
 
 
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms, M = S * D * T.
+def _smith(m: IntMatrix, transforms: bool) -> tuple[tuple[int, ...], list[list[int]], list[list[int]]]:
+    """The Smith elimination: (diagonal, S, T) with M = S * D * T.
 
     Diagonalizes by moving a smallest nonzero entry into pivot position and
     gcd-reducing its row and column, then repairs the divisibility chain.
     S and T are maintained as the inverses of the accumulated row/column
-    operations so the product reassembles M exactly.
+    operations so the product reassembles M exactly. Without ``transforms``
+    the same operations run on D alone and S and T come back empty; their
+    entries can grow far beyond D's.
     """
     nrows, ncols = m.rows, m.cols
     d = m.to_rows()
-    s = IntMatrix.identity(nrows).to_rows()
-    t = IntMatrix.identity(ncols).to_rows()
+    s = IntMatrix.identity(nrows).to_rows() if transforms else []
+    t = IntMatrix.identity(ncols).to_rows() if transforms else []
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -314,13 +317,15 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        t[i], t[j] = t[j], t[i]
+        if t:
+            t[i], t[j] = t[j], t[i]
 
     def add_col(j, i, q):
         # column j += q * column i; compensate in T rows.
         for row in d:
             row[j] += q * row[i]
-        t[i] = [x - q * y for x, y in zip(t[i], t[j])]
+        if t:
+            t[i] = [x - q * y for x, y in zip(t[i], t[j])]
 
     def reduce_pivot(p):
         """Clear row p and column p outside the pivot, leaving it positive."""
@@ -378,10 +383,19 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     for i in range(r):
         if d[i][i] < 0:
             negate_row(i)
+    return tuple(d[i][i] for i in range(r)), s, t
 
-    return SmithDecomposition(
-        s=IntMatrix.from_rows(s, cols=nrows),
-        t=IntMatrix.from_rows(t, cols=ncols),
-        diag=tuple(d[i][i] for i in range(r)),
-    )
 
+def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with unimodular transforms, M = S * D * T."""
+    diag, s, t = _smith(m, transforms=True)
+    return SmithDecomposition(s=IntMatrix.from_rows(s, cols=m.rows), t=IntMatrix.from_rows(t, cols=m.cols), diag=diag)
+
+
+def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    """The invariant factors d_1 | d_2 | ... | d_r, equal to ``smith_normal_form(m).diag``.
+
+    Runs the same elimination without building S and T, for callers that
+    read only the diagonal.
+    """
+    return _smith(m, transforms=False)[0]

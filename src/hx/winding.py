@@ -37,6 +37,7 @@ from .intlinalg import (
     kernel_basis,
     mat_vec,
     rank,
+    smith_diagonal,
     smith_normal_form,
     vstack,
     _echelon,
@@ -259,7 +260,7 @@ def torsion(a: Unicyclization) -> tuple[int, tuple[int, ...]]:
     The factors are the Smith form's diagonal of the unicyclizer's
     coordinates, computed here on each call: nothing else needs them.
     """
-    return a.torsion_order, smith_normal_form(a.partial.select_rows(a.non_tree_edges)).diag
+    return a.torsion_order, smith_diagonal(a.partial.select_rows(a.non_tree_edges))
 
 
 def _covector_winding(a: Unicyclization, cycle: Sequence[int]) -> int:

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from hx import cli
+from hx import winding
 from hx.cli import main
 from hx.documents import MAX_EDGES, MAX_ENTRY_BITS, MAX_VERTICES
-from hx.errors import InternalError
+from hx.errors import DimensionError, InternalError
 
 THETA_DOC = '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[1,-1,0]]}'
 TORSION_DOC = '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[2,-2,0]]}'
@@ -223,6 +223,16 @@ def test_huge_vertex_count_fails_fast(tmp_path):
         assert done.stdout == "" and "not connected" in done.stderr
 
 
+def test_incidence_entry_limit_is_input_error(tmp_path):
+    # A dense 2^20 x 64 incidence matrix would exhaust the address-space limit.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"vertices": MAX_VERTICES, "edges": [[0, 1]] * 64}))
+    for dim in ("0", "1"):
+        done = run_limited("homology", str(path), "--dim", dim)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == "" and "above the limit" in done.stderr
+
+
 def test_edge_and_entry_limits_are_input_errors(tmp_path, capsys):
     path = tmp_path / "over.json"
     for doc in (
@@ -262,7 +272,43 @@ def test_internal_error_exit_code(theta_file, capsys, monkeypatch, failure):
     def broken(a):
         raise failure
 
-    monkeypatch.setattr(cli, "standard_harmonic_cycle", broken)
+    monkeypatch.setattr(winding, "standard_harmonic_cycle", broken)
+    code, payload, err = run(capsys, "lambda", theta_file)
+    assert code == 3 and payload is None
+    assert err.startswith(f"hx: internal error: {failure}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["split", "--edge", "7"], "hx: invalid edge id 7 (graph has 3 edges)"),
+        (["split", "--edge", "-1"], "hx: invalid edge id -1 (graph has 3 edges)"),
+        (["homology", "--dim", "5"], "hx: dimension 5 out of range 0..2"),
+        (["homology", "--dim", "-1"], "hx: dimension -1 out of range 0..2"),
+    ],
+)
+def test_out_of_range_options_are_input_errors(theta_file, capsys, argv, message):
+    code, payload, err = run(capsys, argv[0], theta_file, *argv[1:])
+    assert code == 2 and payload is None
+    assert err == message + "\n"
+
+
+def test_faces_that_are_not_cycles_are_input_errors(tmp_path, capsys):
+    path = tmp_path / "bad-faces.json"
+    path.write_text('{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"faces":[[1,0,0]]}')
+    code, payload, err = run(capsys, "homology", str(path))
+    assert code == 2 and payload is None
+    assert err == "hx: boundary 1 composed with boundary 2 is nonzero\n"
+
+
+@pytest.mark.parametrize("failure", [ValueError("bad value"), DimensionError("bad shape")])
+def test_library_value_error_is_internal_error(theta_file, capsys, monkeypatch, failure):
+    # Input errors are DocumentError by the time they leave the CLI; a bare
+    # ValueError from inside the library is a bug.
+    def broken(a):
+        raise failure
+
+    monkeypatch.setattr(winding, "standard_harmonic_cycle", broken)
     code, payload, err = run(capsys, "lambda", theta_file)
     assert code == 3 and payload is None
     assert err.startswith(f"hx: internal error: {failure}\n")

@@ -5,6 +5,7 @@ import pytest
 from hx.documents import (
     MAX_EDGES,
     MAX_ENTRY_BITS,
+    MAX_INCIDENCE_ENTRIES,
     MAX_VERTICES,
     ComplexDocument,
     build_graph,
@@ -72,6 +73,15 @@ def test_parse_bounds_the_edge_count():
     assert len(parse_document(json.dumps({"vertices": 1, "edges": loops})).edges) == MAX_EDGES
     with pytest.raises(DocumentError, match="above the limit"):
         parse_document(json.dumps({"vertices": 1, "edges": loops + [[0, 0]]}))
+
+
+def test_parse_bounds_the_incidence_entries():
+    per_vertex = MAX_INCIDENCE_ENTRIES // MAX_VERTICES
+    at_bound = {"vertices": MAX_VERTICES, "edges": [[0, 1]] * per_vertex}
+    assert len(parse_document(json.dumps(at_bound)).edges) == per_vertex
+    for edges in (per_vertex + 1, 64):
+        with pytest.raises(DocumentError, match="vertices x edges: .* above the limit"):
+            parse_document(json.dumps({"vertices": MAX_VERTICES, "edges": [[0, 1]] * edges}))
 
 
 @pytest.mark.parametrize("key", ["unicyclizer", "faces"])

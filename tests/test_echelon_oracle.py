@@ -1,15 +1,20 @@
 """The integer elimination kernel and what reads off it, against sympy and
-against the older per-column routes kept here as independent oracles."""
+against the older per-column routes kept here as independent oracles; the
+transform-free Smith diagonal against the full Smith form and sympy."""
 
 import random
 
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 from hx.intlinalg import (
     IntMatrix,
     kernel_basis,
     mat_vec,
     rank,
+    smith_diagonal,
     smith_normal_form,
 )
 from hx.spanning import fundamental_basis, lexmin_spanning_tree
@@ -126,3 +131,33 @@ def test_face_lattice_basis_matches_solve_per_column():
         else:
             smith_branch += 1
     assert smith_branch > 0 and kept_branch > 0
+
+
+def sympy_smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    return tuple(abs(int(d)) for d in invariant_factors(to_sympy(m), domain=sympy.ZZ) if d != 0)
+
+
+def assert_smith_diagonal_matches(m: IntMatrix) -> None:
+    diag = smith_diagonal(m)
+    assert diag == smith_normal_form(m).diag
+    assert diag == sympy_smith_diagonal(m)
+
+
+def test_smith_diagonal_matches_full_form_and_sympy():
+    rng = random.Random(57)
+    for m in face_matrices(rng):
+        assert_smith_diagonal_matches(m)
+
+
+@st.composite
+def integer_matrices(draw):
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    bound = draw(st.sampled_from((1, 9, 1000)))
+    entries = draw(st.lists(st.integers(-bound, bound), min_size=rows * cols, max_size=rows * cols))
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_matrices())
+def test_random_smith_diagonal_matches_full_form_and_sympy(m):
+    assert_smith_diagonal_matches(m)
