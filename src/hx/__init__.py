@@ -33,10 +33,8 @@ _EXPORTS = {
         "UnicyclizerAxiomError",
     ),
     "graphs": (
-        "EdgeKind",
         "EdgeRelabeling",
         "Multigraph",
-        "classify_edge",
         "contract",
         "contract_edges",
         "corank",
@@ -46,12 +44,10 @@ _EXPORTS = {
     ),
     "intlinalg": (
         "IntMatrix",
-        "SmithDecomposition",
         "det",
         "gcd_of_vector",
         "kernel_basis",
         "rank",
-        "smith_normal_form",
     ),
     "spanning": (
         "CycleBasis",
@@ -86,7 +82,6 @@ _EXPORTS = {
         "from_cw",
         "harmonic_to_unicyclizer",
         "new_unicyclization",
-        "select_independent_columns",
         "sign_normalized",
         "split_standard_cycle",
         "standard_harmonic_cycle",

@@ -157,20 +157,6 @@ def parse_document(text: str) -> ComplexDocument:
     return document_from_obj(obj)
 
 
-def serialize_document(doc: ComplexDocument) -> str:
-    obj: dict = {
-        "vertices": doc.vertices,
-        "edges": [list(e) for e in doc.edges],
-    }
-    if doc.unicyclizer is not None:
-        obj["unicyclizer"] = [list(doc.unicyclizer.column(j)) for j in range(doc.unicyclizer.cols)]
-    if doc.faces is not None:
-        obj["faces"] = [list(doc.faces.column(j)) for j in range(doc.faces.cols)]
-    if doc.basis_tree is not None:
-        obj["basis_tree"] = list(doc.basis_tree)
-    return json.dumps(obj)
-
-
 def build_graph(doc: ComplexDocument) -> Multigraph:
     return Multigraph(doc.vertices, doc.edges)
 

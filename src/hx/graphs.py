@@ -9,7 +9,6 @@ matrix encodes as -1 at the tail and +1 at the head.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .errors import NotConnectedError
@@ -39,12 +38,6 @@ class Multigraph:
     def check_edge(self, edge: int) -> None:
         if not (0 <= edge < len(self.edges)):
             raise ValueError(f"invalid edge id {edge} (graph has {len(self.edges)} edges)")
-
-
-class EdgeKind(Enum):
-    LOOP = "loop"
-    BRIDGE = "bridge"
-    ORDINARY = "ordinary"
 
 
 @dataclass(frozen=True)
@@ -201,16 +194,6 @@ def contract_edges(g: Multigraph, edge_ids) -> tuple[Multigraph, EdgeRelabeling]
         new_vertex_count=len(reps),
     )
     return Multigraph(len(reps), tuple(new_edges)), relabeling
-
-
-def classify_edge(g: Multigraph, edge: int) -> EdgeKind:
-    """Loop, bridge (deletion disconnects), or ordinary."""
-    g.check_edge(edge)
-    require_connected(g)
-    if g.is_loop(edge):
-        return EdgeKind.LOOP
-    smaller, _ = delete(g, edge)
-    return EdgeKind.ORDINARY if is_connected(smaller) else EdgeKind.BRIDGE
 
 
 def corank(g: Multigraph) -> int:

@@ -2,11 +2,10 @@
 
 Everything here is exact: matrices hold arbitrary-precision Python ints.
 One fraction-free Gauss-Jordan routine, ``_echelon``, does all elimination
-in integers and gives rank and primitive kernel vectors; its callers read
-exact solutions off the same echelon form. Determinants use a forward-only
-Bareiss loop, and the Smith normal form is computed by gcd reduction,
-tracking the unimodular row and column transforms only when the caller
-needs more than the diagonal.
+in integers and gives rank, primitive kernel vectors and a signed maximal
+minor; its callers read exact solutions and lattice bases off the same
+echelon form. Determinants use a forward-only Bareiss loop, and the Smith
+diagonal (the invariant factors) is computed by gcd reduction.
 """
 
 from __future__ import annotations
@@ -129,29 +128,6 @@ class IntMatrix:
         return all(e == 0 for e in self.entries)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """Factorization M = S * D * T with S, T unimodular.
-
-    ``diag`` holds the positive invariant factors d_1 | d_2 | ... | d_r;
-    D is the s.cols x t.rows matrix with ``diag`` on its leading diagonal.
-    """
-
-    s: IntMatrix
-    t: IntMatrix
-    diag: tuple[int, ...]
-
-    def middle(self) -> IntMatrix:
-        m, k = self.s.cols, self.t.rows
-        entries = [0] * (m * k)
-        for i, d in enumerate(self.diag):
-            entries[i * k + i] = d
-        return IntMatrix(m, k, tuple(entries))
-
-    def reassembled(self) -> IntMatrix:
-        return self.s @ self.middle() @ self.t
-
-
 def vstack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
     if top.cols != bottom.cols:
         raise DimensionError("column counts differ")
@@ -211,9 +187,12 @@ def _echelon(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
     Returns (rows, pivot columns, d). Each step replaces every other row by
     (p * row - row[c] * pivot_row) // prev, where p is the new pivot and prev
     the last one; every division is exact because each entry is a minor of
-    the input. Every pivot entry ends equal to d, so the reduced row echelon
-    form over Q is rows / d; rows past the pivots are zero. d is 1 when
-    there is no pivot.
+    the input. A row swapped into pivot position is negated, so every row
+    operation has determinant 1 and d is the minor of the pivot rows and
+    columns with its sign: det(m) itself when m is square and invertible.
+    Every pivot entry ends equal to d, so the reduced row echelon form over
+    Q is rows / d; rows past the pivots are zero. d is 1 when there is no
+    pivot.
     """
     rows = m.to_rows()
     pivots: list[int] = []
@@ -225,7 +204,8 @@ def _echelon(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
         pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = [-x for x in rows[pivot_row]], rows[r]
         top = rows[r]
         p = top[c]
         for i in range(m.rows):
@@ -283,49 +263,14 @@ def gcd_of_vector(vec: Iterable[int]) -> int:
     return math.gcd(*(int(x) for x in vec)) if vec else 0
 
 
-def _smith(m: IntMatrix, transforms: bool) -> tuple[tuple[int, ...], list[list[int]], list[list[int]]]:
-    """The Smith elimination: (diagonal, S, T) with M = S * D * T.
+def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    """The invariant factors d_1 | d_2 | ... | d_r of the Smith normal form.
 
     Diagonalizes by moving a smallest nonzero entry into pivot position and
     gcd-reducing its row and column, then repairs the divisibility chain.
-    S and T are maintained as the inverses of the accumulated row/column
-    operations so the product reassembles M exactly. Without ``transforms``
-    the same operations run on D alone and S and T come back empty; their
-    entries can grow far beyond D's.
     """
     nrows, ncols = m.rows, m.cols
     d = m.to_rows()
-    s = IntMatrix.identity(nrows).to_rows() if transforms else []
-    t = IntMatrix.identity(ncols).to_rows() if transforms else []
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):
-        # d[i] += q * d[j]; compensate in S columns.
-        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
-        for row in s:
-            row[j] -= q * row[i]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        for row in s:
-            row[i] = -row[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        if t:
-            t[i], t[j] = t[j], t[i]
-
-    def add_col(j, i, q):
-        # column j += q * column i; compensate in T rows.
-        for row in d:
-            row[j] += q * row[i]
-        if t:
-            t[i] = [x - q * y for x, y in zip(t[i], t[j])]
 
     def reduce_pivot(p):
         """Clear row p and column p outside the pivot, leaving it positive."""
@@ -335,9 +280,9 @@ def _smith(m: IntMatrix, transforms: bool) -> tuple[tuple[int, ...], list[list[i
                 if d[i][p] == 0:
                     continue
                 q = d[i][p] // d[p][p]
-                add_row(i, p, -q)
+                d[i] = [x - q * y for x, y in zip(d[i], d[p])]
                 if d[i][p] != 0:
-                    swap_rows(i, p)
+                    d[i], d[p] = d[p], d[i]
                     restart = True
                     break
             if restart:
@@ -346,15 +291,17 @@ def _smith(m: IntMatrix, transforms: bool) -> tuple[tuple[int, ...], list[list[i
                 if d[p][j] == 0:
                     continue
                 q = d[p][j] // d[p][p]
-                add_col(j, p, -q)
+                for row in d:
+                    row[j] -= q * row[p]
                 if d[p][j] != 0:
-                    swap_cols(j, p)
+                    for row in d:
+                        row[j], row[p] = row[p], row[j]
                     restart = True
                     break
             if not restart:
                 break
         if d[p][p] < 0:
-            negate_row(p)
+            d[p] = [-x for x in d[p]]
 
     r = 0
     for p in range(min(nrows, ncols)):
@@ -365,10 +312,9 @@ def _smith(m: IntMatrix, transforms: bool) -> tuple[tuple[int, ...], list[list[i
                     best = (i, j)
         if best is None:
             break
-        if best[0] != p:
-            swap_rows(best[0], p)
-        if best[1] != p:
-            swap_cols(best[1], p)
+        d[best[0]], d[p] = d[p], d[best[0]]
+        for row in d:
+            row[best[1]], row[p] = row[p], row[best[1]]
         reduce_pivot(p)
         r += 1
 
@@ -377,25 +323,8 @@ def _smith(m: IntMatrix, transforms: bool) -> tuple[tuple[int, ...], list[list[i
         bad = next((i for i in range(r - 1) if d[i + 1][i + 1] % d[i][i] != 0), None)
         if bad is None:
             break
-        add_col(bad, bad + 1, 1)
+        for row in d:
+            row[bad] += row[bad + 1]
         reduce_pivot(bad)
     # The repair can flip the sign of the entry after the repaired pivot.
-    for i in range(r):
-        if d[i][i] < 0:
-            negate_row(i)
-    return tuple(d[i][i] for i in range(r)), s, t
-
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms, M = S * D * T."""
-    diag, s, t = _smith(m, transforms=True)
-    return SmithDecomposition(s=IntMatrix.from_rows(s, cols=m.rows), t=IntMatrix.from_rows(t, cols=m.cols), diag=diag)
-
-
-def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
-    """The invariant factors d_1 | d_2 | ... | d_r, equal to ``smith_normal_form(m).diag``.
-
-    Runs the same elimination without building S and T, for callers that
-    read only the diagonal.
-    """
-    return _smith(m, transforms=False)[0]
+    return tuple(abs(d[i][i]) for i in range(r))

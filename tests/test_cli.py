@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -11,6 +12,9 @@ from hx import winding
 from hx.cli import main
 from hx.documents import MAX_EDGES, MAX_ENTRY_BITS, MAX_VERTICES
 from hx.errors import DimensionError, InternalError
+from hx.graphs import Multigraph
+from hx.intlinalg import IntMatrix, rank
+from hx.spanning import fundamental_basis, lexmin_spanning_tree
 
 THETA_DOC = '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[1,-1,0]]}'
 TORSION_DOC = '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[2,-2,0]]}'
@@ -323,3 +327,61 @@ def test_faces_tau_matches_homology(tmp_path, capsys):
     assert payload == {"lambda": [1, 1, -2], "k": 3, "tau": 1}
     _, payload, _ = run(capsys, "homology", str(path), "--dim", "1")
     assert payload == {"dim": 1, "rank": 1, "torsion": []}
+
+
+# The kept faces (the first face doubled, then the rest) do not generate the
+# tripled first face, so the unicyclizer is the faces' echelon lattice basis.
+FALLBACK_DOC = json.dumps(
+    {
+        "vertices": 3,
+        "edges": [[0, 0], [0, 1], [0, 2], [1, 1], [2, 2]],
+        "faces": [[-2, 0, 0, -2, 2], [2, 0, 0, -3, 3], [1, 0, 0, 1, -1]],
+    }
+)
+
+
+def test_fallback_faces_keep_every_basis_free_output(tmp_path, capsys):
+    # Pinned outputs from the Smith-basis construction: a different basis of the
+    # same lattice changes none of them, only raw signs may flip.
+    path = tmp_path / "fallback.json"
+    path.write_text(FALLBACK_DOC)
+    axioms = [
+        {"axiom": 1, "ok": True, "detail": "columns are linearly independent"},
+        {"axiom": 2, "ok": True, "detail": "incidence times unicyclizer is zero"},
+        {"axiom": 3, "ok": True, "detail": "cycle-space quotient has rank 1"},
+    ]
+    pinned = [
+        (["validate"], {"valid": True, "axioms": axioms, "corank": 3, "k": 1, "tau": 5}),
+        (["homology", "--dim", "1"], {"dim": 1, "rank": 1, "torsion": [5]}),
+        (["trees"], {"k": 1}),
+        (["lambda"], {"lambda": [0, 0, 0, 5, 5], "k": 1, "tau": 5}),
+        (["split", "--edge", "2"], {"edge": 2, "with_edge": [0, 0, 0, 5, 5], "without_edge": [0, 0, 0, 0, 0]}),
+    ]
+    for argv, expected in pinned:
+        assert run(capsys, argv[0], str(path), *argv[1:])[:2] == (0, expected)
+    code, payload, _ = run(capsys, "lambda", str(path), "--raw-sign")
+    assert code == 0 and payload["lambda"] in ([0, 0, 0, 5, 5], [0, 0, 0, -5, -5])
+
+
+def test_fallback_faces_of_a_large_circulant_finish_under_limits(tmp_path):
+    # Circulant (i, i+1), (i, i+2) mod 50, so 100 edges; the unicyclizer is F M
+    # for the fundamental cycles F and a random +-9 matrix M, with its first
+    # column f replaced by the faces 2f and 3f, which span the same lattice.
+    n = 50
+    edges = [[i, (i + step) % n] for i in range(n) for step in (1, 2)]
+    g = Multigraph(n, tuple(map(tuple, edges)))
+    cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
+    m = len(cycles)
+    rng = random.Random(1)
+    combo = IntMatrix.zero(m, m - 1)
+    while rank(combo) < m - 1:
+        combo = IntMatrix(m, m - 1, tuple(rng.randint(-9, 9) for _ in range(m * (m - 1))))
+    partial = IntMatrix.from_columns(cycles, rows=len(edges)) @ combo
+    columns = [list(partial.column(j)) for j in range(partial.cols)]
+    faces = [[2 * x for x in columns[0]], [3 * x for x in columns[0]], *columns[1:]]
+    by_faces, by_unicyclizer = tmp_path / "faces.json", tmp_path / "unicyclizer.json"
+    by_faces.write_text(json.dumps({"vertices": n, "edges": edges, "faces": faces}))
+    by_unicyclizer.write_text(json.dumps({"vertices": n, "edges": edges, "unicyclizer": columns}))
+    done = run_limited("validate", str(by_faces))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run_limited("validate", str(by_unicyclizer)).stdout

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from hx import winding
+from hx import complexes, intlinalg, winding
 from hx.cli import main
 from hx.errors import InternalError
 from hx.graphs import Multigraph
@@ -113,6 +113,24 @@ def test_random_multigraphs_match_oracle(a):
     assert_matches_oracle(a)
 
 
+@st.composite
+def unicyclized_circulants(draw):
+    """Circulants (i, i+1), (i, i+2) mod n with up to 30 edges, coordinates up to +-9 or +-2^40."""
+    n = draw(st.integers(2, 15))
+    bound = draw(st.sampled_from((9, 2**40)))
+    g = Multigraph(n, tuple(e for i in range(n) for e in ((i, (i + 1) % n), (i, (i + 2) % n))))
+    partial = random_unicyclizer(g, lambda size: draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size)))
+    assume(partial is not None)
+    return new_unicyclization(g, partial)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(unicyclized_multigraphs(), unicyclized_circulants()))
+def test_covector_matches_determinant_windings(a):
+    assert list(a.covector) == determinant_windings(a, a.basis)
+    assert a.torsion_order == math.gcd(*a.covector)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(unicyclized_multigraphs())
 def test_random_contractions_and_deletions_keep_windings(a):
@@ -152,7 +170,9 @@ def test_build_lambda_and_split_need_no_smith_form_or_enumeration(monkeypatch):
     partial = None
     while partial is None:
         partial = random_unicyclizer(circulant, lambda size: [rng.randint(-2, 2) for _ in range(size)])
-    monkeypatch.setattr(winding, "smith_normal_form", forbidden)
+    for module in (intlinalg, complexes, winding):
+        for name in ("smith_diagonal", "kernel_basis"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
     monkeypatch.setattr(winding, "cycletrees", forbidden)
     for g, partial in [*exhaustive_family(4, 6, 2, per_graph=2), (circulant, partial)]:
         a = new_unicyclization(g, partial)

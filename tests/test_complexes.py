@@ -14,7 +14,7 @@ from hx.complexes import (
 )
 from hx.errors import DimensionError
 from hx.graphs import Multigraph, incidence_matrix
-from hx.intlinalg import IntMatrix, _echelon, kernel_basis, mat_vec, smith_normal_form
+from hx.intlinalg import IntMatrix, _echelon, kernel_basis, mat_vec, smith_diagonal
 from hx.verify import exhaustive_family
 
 THETA = Multigraph(2, ((0, 1), (0, 1), (0, 1)))
@@ -170,7 +170,7 @@ def test_torsion_matches_plain_snf_oracle():
     for x in (*family_complexes(), *seeded_complexes()):
         for i in range(x.dimension + 1):
             routes.add(integral_echelon(x.boundary(i)))
-            expected = tuple(d for d in smith_normal_form(x.boundary(i + 1)).diag if d > 1)
+            expected = tuple(d for d in smith_diagonal(x.boundary(i + 1)) if d > 1)
             assert homology_group(x, i).torsion == expected
     # Both the cycle-coordinate route and the full-boundary route ran.
     assert routes == {True, False}

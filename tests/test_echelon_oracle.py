@@ -1,25 +1,26 @@
 """The integer elimination kernel and what reads off it, against sympy and
 against the older per-column routes kept here as independent oracles; the
-transform-free Smith diagonal against the full Smith form and sympy."""
+Smith diagonal against sympy's full Smith form and invariant factors."""
 
 import random
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.matrices.normalforms import invariant_factors
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors, smith_normal_form
 
 from hx.intlinalg import (
     IntMatrix,
+    _echelon,
     kernel_basis,
     mat_vec,
     rank,
     smith_diagonal,
-    smith_normal_form,
 )
+from hx.graphs import Multigraph
 from hx.spanning import fundamental_basis, lexmin_spanning_tree
 from hx.verify import connected_multigraphs
-from hx.winding import face_lattice_basis, select_independent_columns
+from hx.winding import face_lattice_basis
 
 BOUND = 9
 
@@ -78,10 +79,15 @@ def greedy_independent_columns(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns([m.column(c) for c in kept], rows=m.rows)
 
 
+def pivot_columns(m: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_columns([m.column(c) for c in _echelon(m)[1]], rows=m.rows)
+
+
 def test_select_independent_columns_matches_greedy_rank_loop():
+    # The echelon form's pivot columns are the greedy independent subset.
     rng = random.Random(23)
     for m in shapes(rng):
-        assert select_independent_columns(m) == greedy_independent_columns(m)
+        assert pivot_columns(m) == greedy_independent_columns(m)
 
 
 def exact_solution(a: IntMatrix, b) -> list:
@@ -93,15 +99,15 @@ def exact_solution(a: IntMatrix, b) -> list:
     return list(x)
 
 
-def solve_per_column_face_lattice_basis(faces: IntMatrix) -> IntMatrix:
-    """One exact solve per face column against the kept columns."""
-    kept = select_independent_columns(faces)
-    for j in range(faces.cols):
-        if not all(x.is_integer for x in exact_solution(kept, faces.column(j))):
-            snf = smith_normal_form(faces)
-            columns = [[d * x for x in snf.s.column(i)] for i, d in enumerate(snf.diag)]
-            return IntMatrix.from_columns(columns, rows=faces.rows)
-    return kept
+def kept_columns_generate(faces: IntMatrix) -> bool:
+    """One exact solve per face column against the greedy independent columns."""
+    kept = greedy_independent_columns(faces)
+    return all(x.is_integer for j in range(faces.cols) for x in exact_solution(kept, faces.column(j)))
+
+
+def same_column_lattice(a: IntMatrix, b: IntMatrix) -> bool:
+    """Equal Hermite normal forms (sympy), which are unique per lattice."""
+    return hermite_normal_form(to_sympy(a)) == hermite_normal_form(to_sympy(b))
 
 
 def face_matrices(rng):
@@ -120,26 +126,55 @@ def face_matrices(rng):
     yield from shapes(rng)
 
 
-def test_face_lattice_basis_matches_solve_per_column():
+def assert_entries_bounded(basis: IntMatrix, faces: IntMatrix) -> None:
+    """Each basis column is K h / |d| with 0 <= h_i <= |d|, so no entry exceeds r max |face entry|."""
+    bound = basis.cols * max(map(abs, faces.entries), default=0)
+    assert all(abs(x) <= bound for x in basis.entries)
+
+
+def test_face_lattice_basis_spans_the_faces_lattice():
     rng = random.Random(41)
-    smith_branch = kept_branch = 0
+    echelon_branch = kept_branch = 0
     for faces in face_matrices(rng):
         basis = face_lattice_basis(faces)
-        assert basis == solve_per_column_face_lattice_basis(faces)
-        if basis == select_independent_columns(faces):
+        assert basis.cols == rank(faces) == rank(basis)
+        assert same_column_lattice(basis, faces)
+        assert_entries_bounded(basis, faces)
+        if kept_columns_generate(faces):
+            # The presentation is kept: the pivot columns, unchanged.
+            assert basis == greedy_independent_columns(faces) == pivot_columns(faces)
             kept_branch += 1
         else:
-            smith_branch += 1
-    assert smith_branch > 0 and kept_branch > 0
+            echelon_branch += 1
+    assert echelon_branch > 0 and kept_branch > 0
+
+
+def test_face_lattice_basis_of_many_faces_stays_small():
+    # Twice as many random faces as the cycle rank of a 50-edge circulant:
+    # without reduction modulo d, the basis entries grow to over 200 bits.
+    n = 25
+    g = Multigraph(n, tuple(e for i in range(n) for e in ((i, (i + 1) % n), (i, (i + 2) % n))))
+    cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
+    combo = random_matrix(random.Random(2), len(cycles), 2 * len(cycles))
+    faces = IntMatrix.from_columns(cycles, rows=g.edge_count) @ combo
+    basis = face_lattice_basis(faces)
+    assert basis.cols == rank(faces)
+    assert_entries_bounded(basis, faces)
+    assert same_column_lattice(basis, faces)
 
 
 def sympy_smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     return tuple(abs(int(d)) for d in invariant_factors(to_sympy(m), domain=sympy.ZZ) if d != 0)
 
 
+def sympy_full_form_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    full = smith_normal_form(to_sympy(m), domain=sympy.ZZ)
+    return tuple(abs(int(full[i, i])) for i in range(min(m.rows, m.cols)) if full[i, i] != 0)
+
+
 def assert_smith_diagonal_matches(m: IntMatrix) -> None:
     diag = smith_diagonal(m)
-    assert diag == smith_normal_form(m).diag
+    assert diag == sympy_full_form_diagonal(m)
     assert diag == sympy_smith_diagonal(m)
 
 
@@ -160,4 +195,37 @@ def integer_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(integer_matrices())
 def test_random_smith_diagonal_matches_full_form_and_sympy(m):
+    assert_smith_diagonal_matches(m)
+
+
+def random_unimodular(draw, n: int) -> IntMatrix:
+    """A product of random elementary operations: row additions, swaps and negations."""
+    u = IntMatrix.identity(n).to_rows()
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(("add", "swap", "negate")))
+        if kind == "add" and i != j:
+            q = draw(st.integers(-3, 3))
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        elif kind == "swap":
+            u[i], u[j] = u[j], u[i]
+        elif kind == "negate":
+            u[i] = [-x for x in u[i]]
+    return IntMatrix.from_rows(u, cols=n)
+
+
+@st.composite
+def planted_torsion_matrices(draw):
+    """U diag(d_1, ..., d_r) V for random unimodular U and V, with factors that need not divide each other."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    factors = draw(st.lists(st.integers(1, 60), min_size=1, max_size=min(rows, cols)))
+    middle = IntMatrix.zero(rows, cols).to_rows()
+    for i, f in enumerate(factors):
+        middle[i][i] = f
+    return random_unimodular(draw, rows) @ IntMatrix.from_rows(middle, cols=cols) @ random_unimodular(draw, cols)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(planted_torsion_matrices())
+def test_planted_torsion_smith_diagonal_matches_sympy(m):
     assert_smith_diagonal_matches(m)

@@ -1,10 +1,7 @@
 import pytest
 
-from hx.errors import NotConnectedError
 from hx.graphs import (
-    EdgeKind,
     Multigraph,
-    classify_edge,
     contract,
     contract_edges,
     corank,
@@ -73,18 +70,6 @@ def test_delete_from_theta():
 def test_delete_invalid_edge():
     with pytest.raises(ValueError):
         delete(THETA, 3)
-
-
-def test_classify_edges():
-    assert classify_edge(Multigraph(1, ((0, 0),)), 0) == EdgeKind.LOOP
-    assert classify_edge(Multigraph(2, ((0, 1),)), 0) == EdgeKind.BRIDGE
-    for e in range(3):
-        assert classify_edge(THETA, e) == EdgeKind.ORDINARY
-
-
-def test_classify_requires_connected():
-    with pytest.raises(NotConnectedError):
-        classify_edge(Multigraph(3, ((0, 1),)), 0)
 
 
 def test_corank():

@@ -7,12 +7,13 @@ import pytest
 from hx.errors import DimensionError
 from hx.intlinalg import (
     IntMatrix,
+    _echelon,
     det,
     gcd_of_vector,
     kernel_basis,
     mat_vec,
     rank,
-    smith_normal_form,
+    smith_diagonal,
 )
 
 
@@ -102,35 +103,48 @@ def test_kernel_vectors_annihilated_exactly():
 
 
 def test_snf_diagonal_examples():
-    assert smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 1]])).diag == (1, 1)
-    assert smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).diag == (1, 6)
-    assert smith_normal_form(IntMatrix.from_columns([[-2, 0]])).diag == (2,)
+    assert smith_diagonal(IntMatrix.from_rows([[1, 0], [0, 1]])) == (1, 1)
+    assert smith_diagonal(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
+    assert smith_diagonal(IntMatrix.from_columns([[-2, 0]])) == (2,)
 
 
-def test_snf_reassembly_and_unimodularity():
+def test_snf_length_is_rank_and_chain_divides():
     rng = random.Random(13)
     for _ in range(250):
         m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
-        snf = smith_normal_form(m)
-        assert snf.reassembled() == m
-        assert abs(det(snf.s)) == 1
-        assert abs(det(snf.t)) == 1
-        assert len(snf.diag) == rank(m)
-        for a, b in zip(snf.diag, snf.diag[1:]):
+        diag = smith_diagonal(m)
+        assert len(diag) == rank(m)
+        for a, b in zip(diag, diag[1:]):
             assert a > 0 and b % a == 0
-        assert not snf.diag or snf.diag[-1] > 0
+        assert not diag or diag[-1] > 0
 
 
 def test_snf_invariant_factors_match_minor_gcds():
     rng = random.Random(99)
     for _ in range(120):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        diag = smith_normal_form(m).diag
+        diag = smith_diagonal(m)
         product = 1
         for j, d in enumerate(diag, start=1):
             product *= d
             assert product == minor_gcd(m, j)
 
+
+def test_echelon_final_pivot_is_signed_determinant():
+    rng = random.Random(31)
+    swapped = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        # Zeros on the leading diagonal force row swaps.
+        zero_diagonal = rng.random() < 0.5
+        m = IntMatrix(n, n, tuple(0 if zero_diagonal and i == j else rng.randint(-5, 5) for i in range(n) for j in range(n)))
+        if det(m) == 0:
+            continue
+        swapped += m[0, 0] == 0
+        rows, pivots, d = _echelon(m)
+        assert pivots == list(range(n))
+        assert d == det(m) == perm_det(m)
+    assert swapped > 50
 
 def test_gcd_of_vector():
     assert gcd_of_vector((4, -6)) == 2
