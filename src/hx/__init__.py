@@ -19,6 +19,7 @@ _EXPORTS = {
         "check_mean_value",
         "complex_from_boundaries",
         "energy",
+        "graph_homology",
         "harmonic_basis",
         "homology_group",
         "laplacian",

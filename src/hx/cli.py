@@ -62,21 +62,22 @@ def _rational(value) -> str:
 
 
 def _cmd_validate(doc, args) -> tuple[dict, int]:
-    from .documents import build_graph, build_unicyclization, unicyclizer_columns
-    from .graphs import corank, require_connected
-    from .winding import check_axioms
+    from .documents import build_graph, unicyclizer_columns
+    from .graphs import corank
+    from .winding import check_axioms, new_unicyclization
 
     g = build_graph(doc)
-    require_connected(g)
-    axioms = check_axioms(g, unicyclizer_columns(doc))
+    cycle_rank = corank(g)  # refuses a disconnected graph before the faces are reduced
+    partial = unicyclizer_columns(doc)
+    axioms = check_axioms(g, partial)
     valid = all(ok for _, ok, _ in axioms)
     payload = {
         "valid": valid,
         "axioms": [{"axiom": n, "ok": ok, "detail": detail} for n, ok, detail in axioms],
-        "corank": corank(g),
+        "corank": cycle_rank,
     }
     if valid:
-        a = build_unicyclization(doc)
+        a = new_unicyclization(g, partial, basis_tree=doc.basis_tree)
         payload["k"] = a.tree_count
         payload["tau"] = a.torsion_order
     return payload, 0 if valid else 1
@@ -113,19 +114,14 @@ def _cmd_cycletrees(doc, args) -> tuple[dict, int]:
 
 
 def _cmd_homology(doc, args) -> tuple[dict, int]:
-    from .complexes import complex_from_boundaries, homology_group
+    from .complexes import graph_homology
     from .documents import build_graph
-    from .graphs import incidence_matrix
 
     faces = doc.faces if doc.faces is not None else doc.unicyclizer
-    boundaries = [incidence_matrix(build_graph(doc))] + ([] if faces is None else [faces])
     try:
-        x = complex_from_boundaries(*boundaries)
-    except DimensionError as exc:  # the document's faces are not cycles
+        group = graph_homology(build_graph(doc), faces, args.dim)
+    except DimensionError as exc:  # the document's faces are not cycles, or --dim is out of range
         raise DocumentError(str(exc)) from exc
-    if not 0 <= args.dim <= x.dimension:
-        raise DocumentError(f"dimension {args.dim} out of range 0..{x.dimension}")
-    group = homology_group(x, args.dim)
     return {"dim": args.dim, "rank": group.rank, "torsion": list(group.torsion)}, 0
 
 

@@ -3,17 +3,21 @@
 Chains are plain coefficient sequences (ints, or Fractions where a rational
 value makes sense); the complex stores one boundary matrix per positive
 dimension and treats out-of-range boundary maps as zero maps with the
-appropriate empty shape.
+appropriate empty shape. The complex of a graph and its faces also has
+``graph_homology``, which works on the edge list and never builds the
+incidence matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionError
-from .intlinalg import IntMatrix, _echelon, kernel_basis, mat_vec, smith_diagonal, vstack
+from .graphs import Multigraph, _forest, are_cycles
+from .intlinalg import IntMatrix, _echelon, kernel_basis, mat_vec, rank, smith_diagonal, vstack
 
 
 @dataclass(frozen=True)
@@ -127,9 +131,37 @@ def homology_group(x: ChainComplex, i: int) -> HomologyGroup:
     )
 
 
+def graph_homology(g: Multigraph, faces: IntMatrix | None, i: int) -> HomologyGroup:
+    """``homology_group`` of the complex (g's incidence matrix, faces), read off
+    a spanning forest F of g without building the incidence matrix.
+
+    H_0 is free of rank the component count. The fundamental cycles of the
+    edges outside F are a Z-basis of the cycles, with a cycle's coordinates
+    its entries at those edges; so H_1 is the cokernel of the faces' rows
+    there, and H_2, the kernel of the faces, is free of rank the face count
+    minus their rank. The faces must be cycles, checked once per column.
+    """
+    if faces is not None and not are_cycles(g, faces):
+        raise DimensionError("boundary 1 composed with boundary 2 is nonzero")
+    top = 1 if faces is None else 2
+    if not 0 <= i <= top:
+        raise DimensionError(f"dimension {i} out of range 0..{top}")
+    forest = set(_forest(g.vertex_count, g.edges))
+    if i == 0:
+        return HomologyGroup(rank=g.vertex_count - len(forest), torsion=())
+    outside = [e for e in range(g.edge_count) if e not in forest]
+    if faces is None:
+        return HomologyGroup(rank=len(outside), torsion=())
+    reduced = faces.select_rows([e for e in outside if any(faces.row(e))])
+    if i == 2:
+        return HomologyGroup(rank=faces.cols - rank(reduced), torsion=())
+    diag = smith_diagonal(reduced)
+    return HomologyGroup(rank=len(outside) - len(diag), torsion=tuple(v for v in diag if v > 1))
+
+
 def energy(coeffs: Sequence) -> int | Fraction:
     """Squared norm of a chain under the standard cellwise inner product."""
-    return sum(c * c for c in coeffs)
+    return sum(map(mul, coeffs, coeffs))
 
 
 def check_mean_value(x: ChainComplex, coeffs: Sequence) -> bool:

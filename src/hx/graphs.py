@@ -3,7 +3,9 @@
 Vertices are ids ``0..n-1``; edges are an ordered list of (tail, head)
 pairs, so parallel edges and loops are just repeated or degenerate pairs.
 Every edge carries the fixed orientation tail -> head, which the incidence
-matrix encodes as -1 at the tail and +1 at the head.
+matrix encodes as -1 at the tail and +1 at the head. Boundaries of chains
+and connectivity are computed on the edge list itself, in one pass over the
+edges; the dense incidence matrix is built only where a matrix is wanted.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotConnectedError
+from .errors import DimensionError, NotConnectedError
 from .intlinalg import IntMatrix
 
 
@@ -72,27 +74,60 @@ def incidence_matrix(g: Multigraph) -> IntMatrix:
     return IntMatrix(n, m, tuple(entries))
 
 
+def boundary(g: Multigraph, chain: Sequence) -> list:
+    """The boundary of a 1-chain, the sum over its edges of c (head - tail).
+
+    One pass over the edges, equal to the incidence matrix times the chain;
+    a loop adds and removes its coefficient at one vertex.
+    """
+    if len(chain) != g.edge_count:
+        raise DimensionError(f"chain length {len(chain)} != {g.edge_count} edges")
+    out = [0] * g.vertex_count
+    for (t, h), c in zip(g.edges, chain):
+        out[t] -= c
+        out[h] += c
+    return out
+
+
+def are_cycles(g: Multigraph, columns: IntMatrix) -> bool:
+    """True when every column, a chain on the edges, has zero boundary."""
+    return not any(any(boundary(g, columns.column(j))) for j in range(columns.cols))
+
+
+def _find(parent: list[int], v: int) -> int:
+    """Root of v in a union-find forest, halving the path on the way (Tarjan, 1975)."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _forest(vertex_count: int, edge_pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Indices of the greedy spanning forest: each edge, in order, that joins
+    two components. It is the lexicographically smallest spanning forest, so
+    there are V minus its size components; the pass stops once there is one.
+    """
+    parent = list(range(vertex_count))
+    chosen: list[int] = []
+    for e, (t, h) in enumerate(edge_pairs):
+        if len(chosen) == vertex_count - 1:
+            break
+        rt, rh = _find(parent, t), _find(parent, h)
+        if rt != rh:
+            if rt > rh:
+                rt, rh = rh, rt
+            parent[rh] = rt
+            chosen.append(e)
+    return chosen
+
+
 def _spans(vertex_count: int, edge_pairs: Sequence[tuple[int, int]]) -> bool:
-    """True when the edges connect all the vertices.
+    """True when the edges connect all the vertices, by union-find.
 
     Fewer than V - 1 edges cannot, which is answered before any per-vertex
     work, so a huge vertex count with few edges fails fast.
     """
-    if len(edge_pairs) < vertex_count - 1:
-        return False
-    adjacency: dict[int, list[int]] = {v: [] for v in range(vertex_count)}
-    for t, h in edge_pairs:
-        adjacency[t].append(h)
-        adjacency[h].append(t)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == vertex_count
+    return len(edge_pairs) >= vertex_count - 1 and len(_forest(vertex_count, edge_pairs)) == vertex_count - 1
 
 
 def is_connected(g: Multigraph) -> bool:
@@ -128,30 +163,7 @@ def contract(g: Multigraph, edge: int) -> tuple[Multigraph, EdgeRelabeling]:
 
     Contracting a loop is deletion with no vertex changes.
     """
-    g.check_edge(edge)
-    t, h = g.edges[edge]
-    if t == h:
-        return delete(g, edge)
-    keep, drop = min(t, h), max(t, h)
-    vertex_map = {}
-    for v in range(g.vertex_count):
-        if v == drop:
-            vertex_map[v] = keep
-        elif v > drop:
-            vertex_map[v] = v - 1
-        else:
-            vertex_map[v] = v
-    new_edges = tuple(
-        (vertex_map[a], vertex_map[b]) for i, (a, b) in enumerate(g.edges) if i != edge
-    )
-    edge_map = {old: (old if old < edge else old - 1) for old in range(g.edge_count) if old != edge}
-    relabeling = EdgeRelabeling(
-        edges=edge_map,
-        vertices=vertex_map,
-        new_edge_count=g.edge_count - 1,
-        new_vertex_count=g.vertex_count - 1,
-    )
-    return Multigraph(g.vertex_count - 1, new_edges), relabeling
+    return contract_edges(g, (edge,))
 
 
 def contract_edges(g: Multigraph, edge_ids) -> tuple[Multigraph, EdgeRelabeling]:
@@ -165,21 +177,15 @@ def contract_edges(g: Multigraph, edge_ids) -> tuple[Multigraph, EdgeRelabeling]
     for e in removed:
         g.check_edge(e)
     parent = list(range(g.vertex_count))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for e in removed:
         a, b = g.edges[e]
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    reps = sorted({find(v) for v in range(g.vertex_count)})
+    roots = [_find(parent, v) for v in range(g.vertex_count)]
+    reps = sorted(set(roots))
     rep_index = {rep: i for i, rep in enumerate(reps)}
-    vertex_map = {v: rep_index[find(v)] for v in range(g.vertex_count)}
+    vertex_map = {v: rep_index[root] for v, root in enumerate(roots)}
     new_edges = []
     edge_map = {}
     for old, (a, b) in enumerate(g.edges):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionError
@@ -36,9 +38,9 @@ class IntMatrix:
             raise DimensionError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        for e in self.entries:
-            if type(e) is not int:
-                raise DimensionError(f"matrix entries must be ints, got {type(e).__name__}")
+        if not set(map(type, self.entries)) <= {int}:
+            bad = next(e for e in self.entries if type(e) is not int)
+            raise DimensionError(f"matrix entries must be ints, got {type(bad).__name__}")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -65,7 +67,7 @@ class IntMatrix:
         for c in columns:
             if len(c) != nrows:
                 raise DimensionError("ragged columns")
-        return IntMatrix(nrows, ncols, tuple(columns[j][i] for i in range(nrows) for j in range(ncols)))
+        return IntMatrix(nrows, ncols, tuple(chain.from_iterable(zip(*columns))))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -88,7 +90,8 @@ class IntMatrix:
         return self.entries[j :: self.cols] if self.cols else ()
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        c, entries = self.cols, self.entries
+        return [list(entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
@@ -135,26 +138,33 @@ def vstack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(m: IntMatrix, vec: Sequence) -> list:
-    """Multiply by a vector with int or Fraction entries (exact)."""
+    """Multiply by a vector with int or Fraction entries (exact).
+
+    Each output entry is one row slice dotted with the vector. To apply a
+    graph's boundary, ``graphs.boundary`` is one pass over the edges.
+    """
     if len(vec) != m.cols:
         raise DimensionError(f"vector length {len(vec)} != {m.cols} columns")
-    return [sum(m.entries[i * m.cols + j] * vec[j] for j in range(m.cols)) for i in range(m.rows)]
+    c, entries = m.cols, m.entries
+    return [sum(map(mul, entries[i * c : (i + 1) * c], vec)) for i in range(m.rows)]
 
 
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise DimensionError("vector lengths differ")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
     The 0x0 determinant is 1 (empty product). This forward-only loop is kept
-    apart from ``_echelon`` because ``det`` is hot in the ``verify`` oracles,
-    which take one determinant per cycle: on random +-9 matrices (Python
-    3.11, one x86-64 core) a determinant read off ``_echelon`` took about
-    three times as long, 20 against 7 us at 3x3 and 219 against 73 us at 9x9.
+    apart from ``_echelon`` because ``det`` is hot in the oracle
+    ``verify.determinant_windings``, which takes one determinant per probe
+    cycle: on random +-9 matrices (Python 3.11, one x86-64 core) a
+    determinant read off ``_echelon`` took about three times as long, 20
+    against 7 us at 3x3 and 219 against 73 us at 9x9. ``tree_number`` and
+    the signs of cycle basis changes are determinants too.
     """
     if m.rows != m.cols:
         raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")

@@ -19,9 +19,9 @@ from itertools import combinations
 from .errors import EnumerationCapError, NotConnectedError
 from .graphs import (
     Multigraph,
-    incidence_matrix,
     require_connected,
     spanning_subgraph_connected,
+    _forest,
 )
 from .intlinalg import IntMatrix, det
 
@@ -81,25 +81,10 @@ def spanning_trees(g: Multigraph, cap: int | None = None) -> list[frozenset[int]
 def lexmin_spanning_tree(g: Multigraph) -> frozenset[int]:
     """Greedy matroid construction of the lexicographically smallest tree.
 
-    The graph is connected exactly when V - 1 edges get chosen; fewer than
-    V - 1 edges are refused before any per-vertex work.
+    The graph is connected exactly when the greedy forest has V - 1 edges;
+    fewer than V - 1 edges are refused before any per-vertex work.
     """
-    if g.edge_count < g.vertex_count - 1:
-        raise NotConnectedError("graph is not connected")
-    parent = list(range(g.vertex_count))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    chosen = []
-    for e, (t, h) in enumerate(g.edges):
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[max(rt, rh)] = min(rt, rh)
-            chosen.append(e)
+    chosen = _forest(g.vertex_count, g.edges) if g.edge_count >= g.vertex_count - 1 else []
     if len(chosen) != g.vertex_count - 1:
         raise NotConnectedError("graph is not connected")
     return frozenset(chosen)
@@ -107,24 +92,28 @@ def lexmin_spanning_tree(g: Multigraph) -> frozenset[int]:
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def tree_number(g: Multigraph) -> int:
-    """Number of spanning trees, by the reduced dim-0 Laplacian determinant."""
+    """Number of spanning trees, by the reduced dim-0 Laplacian determinant.
+
+    The Laplacian, degrees minus adjacency with loops dropped, is summed
+    from the edges with vertex 0's row and column left out.
+    """
     require_connected(g)
-    boundary = incidence_matrix(g)
-    laplacian = boundary @ boundary.transpose()
-    n = g.vertex_count
-    reduced = IntMatrix(
-        n - 1,
-        n - 1,
-        tuple(laplacian[i, j] for i in range(1, n) for j in range(1, n)),
-    )
-    return det(reduced)
+    n = g.vertex_count - 1
+    laplacian = [0] * (n * n)
+    for t, h in g.edges:
+        if t != h:
+            for a, b in ((t, h), (h, t)):
+                if a:
+                    laplacian[(a - 1) * (n + 1)] += 1
+                    if b:
+                        laplacian[(a - 1) * n + b - 1] -= 1
+    return det(IntMatrix(n, n, tuple(laplacian)))
 
 
 def unique_cycle(g: Multigraph, edge_ids) -> tuple[int, ...]:
     """Oriented unique cycle of a cycletree edge set.
 
-    Strips degree-one vertices until only the cycle remains, then walks it,
-    fixing the sign so the smallest cycle edge id has coefficient +1.
+    The smallest cycle edge id gets coefficient +1.
     """
     edge_set = set(edge_ids)
     for e in edge_set:
@@ -135,51 +124,17 @@ def unique_cycle(g: Multigraph, edge_ids) -> tuple[int, ...]:
 
 
 def _walk_unique_cycle(g: Multigraph, edge_ids) -> tuple[int, ...]:
-    """``unique_cycle`` on an edge set already known to be a cycletree, unchecked."""
-    remaining = set(edge_ids)
-    degrees = [0] * g.vertex_count
-    for e in remaining:
-        t, h = g.edges[e]
-        degrees[t] += 1
-        degrees[h] += 1
-    pending = [v for v in range(g.vertex_count) if degrees[v] == 1]
-    incident: dict[int, set[int]] = {v: set() for v in range(g.vertex_count)}
-    for e in remaining:
-        t, h = g.edges[e]
-        incident[t].add(e)
-        incident[h].add(e)
-    while pending:
-        v = pending.pop()
-        if degrees[v] != 1:
-            continue
-        e = next(iter(incident[v] & remaining))
-        remaining.discard(e)
-        t, h = g.edges[e]
-        for w in (t, h):
-            degrees[w] -= 1
-            incident[w].discard(e)
-            if degrees[w] == 1:
-                pending.append(w)
+    """``unique_cycle`` on an edge set already known to be a cycletree, unchecked.
 
-    coeffs = [0] * g.edge_count
-    start_edge = min(remaining)
-    tail, head = g.edges[start_edge]
-    coeffs[start_edge] = 1
-    if tail == head:
-        return tuple(coeffs)
-    current = head
-    last_edge = start_edge
-    while current != tail:
-        e = next(iter(e2 for e2 in incident[current] if e2 in remaining and e2 != last_edge))
-        t, h = g.edges[e]
-        if t == current:
-            coeffs[e] = 1
-            current = h
-        else:
-            coeffs[e] = -1
-            current = t
-        last_edge = e
-    return tuple(coeffs)
+    The greedy forest of the edges is a spanning tree, and the one edge it
+    leaves out closes the cycle.
+    """
+    edges = sorted(edge_ids)
+    tree = [edges[i] for i in _forest(g.vertex_count, [g.edges[e] for e in edges])]
+    (extra,) = set(edges).difference(tree)
+    coeffs = _tree_cycle(g, _root(g, tree), extra)
+    first = next(c for c in coeffs if c)
+    return tuple(first * c for c in coeffs)
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
@@ -199,53 +154,57 @@ def cycletrees(g: Multigraph, cap: int | None = None) -> list[Cycletree]:
     return list(_cycletrees_cached(g))
 
 
-def _tree_path(g: Multigraph, tree: frozenset[int], start: int, goal: int) -> list[tuple[int, int]]:
-    """Edge walk through the tree from start to goal as (edge id, direction)."""
-    adjacency: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(g.vertex_count)}
+def _root(g: Multigraph, tree) -> list | None:
+    """The tree rooted at vertex 0 by one traversal: for each vertex, (depth,
+    parent, edge to the parent, +1 when that edge points from the parent to
+    the vertex, else -1). None when the edges do not reach every vertex.
+    """
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(g.vertex_count)]
     for e in tree:
         t, h = g.edges[e]
         adjacency[t].append((h, e, 1))
         adjacency[h].append((t, e, -1))
-    prev: dict[int, tuple[int, int, int]] = {}
-    stack = [start]
-    seen = {start}
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            break
+    up: list = [(0, None, None, None)] + [None] * (g.vertex_count - 1)
+    order = [0]
+    for v in order:
         for w, e, direction in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                prev[w] = (v, e, direction)
-                stack.append(w)
-    path = []
-    v = goal
-    while v != start:
-        u, e, direction = prev[v]
-        path.append((e, direction))
-        v = u
-    path.reverse()
-    return path
+            if up[w] is None:
+                up[w] = (up[v][0] + 1, v, e, direction)
+                order.append(w)
+    return up if len(order) == g.vertex_count else None
+
+
+def _tree_cycle(g: Multigraph, up: list, edge: int) -> list[int]:
+    """The edge plus the tree path from its head back to its tail, found by
+    walking both ends up to their common ancestor: up from the head against
+    each parent edge's direction, and down to the tail along it."""
+    coeffs = [0] * g.edge_count
+    coeffs[edge] = 1
+    tail, head = g.edges[edge]
+    while head != tail:
+        if up[head][0] >= up[tail][0]:
+            _, head, f, direction = up[head]
+            coeffs[f] = -direction
+        else:
+            _, tail, f, direction = up[tail]
+            coeffs[f] = direction
+    return coeffs
 
 
 def fundamental_basis(g: Multigraph, tree) -> CycleBasis:
     """Fundamental cycles of the non-tree edges, in increasing edge id.
 
-    A graph with a spanning tree is connected, so no separate check is made.
+    One traversal roots the tree, see ``_root``; it also proves that the
+    V - 1 tree edges span, since it must reach every vertex, so no separate
+    connectivity check is made. Each cycle is then a walk up the tree.
     """
     tree = frozenset(tree)
     for e in tree:
         g.check_edge(e)
-    if len(tree) != g.vertex_count - 1 or any(g.is_loop(e) for e in tree) or not spanning_subgraph_connected(g, tree):
+    # V - 1 edges reach every vertex only when each finds a new one, so a loop fails too.
+    up = _root(g, tree) if len(tree) == g.vertex_count - 1 else None
+    if up is None:
         raise ValueError("edge set is not a spanning tree")
     non_tree = tuple(e for e in range(g.edge_count) if e not in tree)
-    cycles = []
-    for e in non_tree:
-        coeffs = [0] * g.edge_count
-        coeffs[e] = 1
-        tail, head = g.edges[e]
-        if tail != head:
-            for f, direction in _tree_path(g, tree, head, tail):
-                coeffs[f] = direction
-        cycles.append(tuple(coeffs))
-    return CycleBasis(graph=g, tree=tree, non_tree_edges=non_tree, cycles=tuple(cycles))
+    cycles = tuple(tuple(_tree_cycle(g, up, e)) for e in non_tree)
+    return CycleBasis(graph=g, tree=tree, non_tree_edges=non_tree, cycles=cycles)

@@ -17,11 +17,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterator
 
 from .complexes import energy, harmonic_basis
-from .graphs import Multigraph, contract, corank, delete, incidence_matrix, is_connected
+from .errors import NotConnectedError
+from .graphs import Multigraph, contract, corank, delete, is_connected, spanning_subgraph_connected
 from .intlinalg import IntMatrix, det, dot, mat_vec, rank
 from .spanning import GRAPH_CACHE_SIZE, cycletrees, fundamental_basis, lexmin_spanning_tree, spanning_trees, tree_number
 from .winding import Unicyclization, cycle_coordinates, standard_harmonic_cycle
@@ -70,8 +71,7 @@ def _random_cycle(rng: random.Random, a: Unicyclization) -> tuple[int, ...]:
     total = [0] * a.graph.edge_count
     for c, z in zip(coeffs, a.basis):
         if c:
-            for e, v in enumerate(z):
-                total[e] += c * v
+            total = [t + c * v for t, v in zip(total, z)]
     return tuple(total)
 
 
@@ -81,11 +81,10 @@ def determinant_windings(a: Unicyclization, cycles) -> list[int]:
     P is the unicyclizer read off at the instance's non-tree edges and o its
     orientation. This is the oracle for the winding covector.
     """
-    p_columns = [[a.partial[e, j] for e in a.non_tree_edges] for j in range(a.partial.cols)]
-    return [
-        a.orientation * det(IntMatrix.from_columns([cycle_coordinates(a, z)] + p_columns, rows=a.cycle_rank))
-        for z in cycles
-    ]
+    # Each determinant is taken of the transpose, whose rows are coords(z) and then P's columns.
+    p_rows = tuple(a.partial[e, j] for j in range(a.partial.cols) for e in a.non_tree_edges)
+    m = a.cycle_rank
+    return [a.orientation * det(IntMatrix(m, m, cycle_coordinates(a, z) + p_rows)) for z in cycles]
 
 
 def _winding_weighted_sum(a: Unicyclization, trees) -> tuple[int, ...]:
@@ -139,7 +138,7 @@ def verify_harmonicity(a: Unicyclization) -> VerificationReport:
     """Check the standard harmonic cycle is a nonzero harmonic cycle."""
     lam = standard_harmonic_cycle(a)
     x = a.complex()
-    incid = incidence_matrix(a.graph)
+    incid = x.boundary(1)
     boundary_image = mat_vec(incid, lam)
     coboundary_image = mat_vec(a.partial.transpose(), lam)
     laplacian_image = mat_vec(incid.transpose() @ incid + a.partial @ a.partial.transpose(), lam)
@@ -160,11 +159,18 @@ def verify_harmonicity(a: Unicyclization) -> VerificationReport:
 
 
 def _tree_count_or_zero(g: Multigraph) -> int:
-    return tree_number(g) if is_connected(g) else 0
+    try:
+        return tree_number(g)
+    except NotConnectedError:
+        return 0
 
 
-def _cycletree_count_or_zero(g: Multigraph, cap: int | None) -> int:
-    return len(cycletrees(g, cap)) if is_connected(g) else 0
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _cycletree_count_or_zero(g: Multigraph) -> int:
+    """Number of cycletrees, the connected V-edge subsets, counted without walking their cycles."""
+    if not is_connected(g):
+        return 0
+    return sum(spanning_subgraph_connected(g, combo) for combo in combinations(range(g.edge_count), g.vertex_count))
 
 
 def verify_counts(g: Multigraph, cap: int | None = None) -> VerificationReport:
@@ -181,7 +187,7 @@ def verify_counts(g: Multigraph, cap: int | None = None) -> VerificationReport:
         k_del = _tree_count_or_zero(deleted)
         k_con = _tree_count_or_zero(contracted)
         through = sum(1 for y in all_cycletrees if edge in y.edge_ids)
-        u_del = _cycletree_count_or_zero(deleted, cap)
+        u_del = _cycletree_count_or_zero(deleted)
         if g.is_loop(edge):
             checks.append(Check(f"tree_recursion[{edge}]", k == k_del == k_con, str(k), f"{k_del} = {k_con}"))
             checks.append(Check(f"cycletrees_through[{edge}]", through == k_con, str(through), str(k_con)))
@@ -189,7 +195,7 @@ def verify_counts(g: Multigraph, cap: int | None = None) -> VerificationReport:
                 Check(f"cycletree_recursion[{edge}]", len(all_cycletrees) == k_con + u_del, str(len(all_cycletrees)), f"{k_con} + {u_del}")
             )
         else:
-            u_con = _cycletree_count_or_zero(contracted, cap)
+            u_con = _cycletree_count_or_zero(contracted)
             checks.append(Check(f"tree_recursion[{edge}]", k == k_del + k_con, str(k), f"{k_del} + {k_con}"))
             checks.append(Check(f"cycletrees_through[{edge}]", through == u_con, str(through), str(u_con)))
             checks.append(
@@ -219,7 +225,7 @@ def verify_energy_min(a: Unicyclization, trials: int = 100, seed: int = DEFAULT_
         perturbed = energy([l + w for l, w in zip(lam, v)])
         ortho = dot(lam, v) == 0
         le = base <= perturbed
-        eq_iff = (perturbed == base) == all(w == 0 for w in v)
+        eq_iff = (perturbed == base) == (not any(v))
         orthogonal += ortho
         minimal += le
         strict += eq_iff

@@ -19,15 +19,16 @@ from functools import cached_property
 from typing import Sequence
 
 from .complexes import ChainComplex, complex_from_boundaries
-from .errors import DimensionError, InternalError, UnicyclizerAxiomError
+from .errors import DimensionError, InternalError, NotConnectedError, UnicyclizerAxiomError
 from .graphs import (
     Multigraph,
+    are_cycles,
+    boundary,
     contract,
     contract_edges,
     corank,
     delete,
     incidence_matrix,
-    is_connected,
 )
 from .intlinalg import (
     IntMatrix,
@@ -129,7 +130,7 @@ def check_axioms(g: Multigraph, partial: IntMatrix) -> list[tuple[int, bool, str
     r = rank(partial)
     ok1 = r == partial.cols
     results.append((1, ok1, "columns are linearly independent" if ok1 else f"column rank {r} < {partial.cols}"))
-    ok2 = (incidence_matrix(g) @ partial).is_zero()
+    ok2 = are_cycles(g, partial)
     results.append((2, ok2, "incidence times unicyclizer is zero" if ok2 else "incidence times unicyclizer is nonzero"))
     quotient = cycle_rank - r
     ok3 = quotient == 1
@@ -143,7 +144,7 @@ def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unic
     # Once the columns are cycles, reading coordinates at the non-tree edges is injective on them, so
     # m - 1 pivots of P^T, for P the coordinates, is axioms 1 and 3; check_axioms only names a failure.
     reading = None
-    if partial.rows == g.edge_count and partial.cols == m - 1 and (incidence_matrix(g) @ partial).is_zero():
+    if partial.rows == g.edge_count and partial.cols == m - 1 and are_cycles(g, partial):
         reading = _echelon(partial.select_rows(cycle_basis.non_tree_edges).transpose())
     if reading is None or len(reading[1]) != m - 1:
         for axiom, ok, detail in check_axioms(g, partial):
@@ -254,10 +255,9 @@ def cycle_coordinates(a: Unicyclization, chain: Sequence[int]) -> tuple[int, ...
     g = a.graph
     if len(chain) != g.edge_count:
         raise DimensionError(f"chain length {len(chain)} != {g.edge_count} edges")
-    for x in chain:
-        if type(x) is not int:
-            raise ValueError("cycle coordinates need integer chains")
-    if any(v != 0 for v in mat_vec(incidence_matrix(g), chain)):
+    if not set(map(type, chain)) <= {int}:
+        raise ValueError("cycle coordinates need integer chains")
+    if any(boundary(g, chain)):
         raise ValueError("chain is not a cycle")
     return tuple(chain[e] for e in a.non_tree_edges)
 
@@ -333,14 +333,16 @@ def split_standard_cycle(a: Unicyclization, edge: int) -> tuple[tuple[int, ...],
     """
     g = a.graph
     smaller, relabeling = delete(g, edge)
-    if is_connected(smaller):
+    try:
+        tree = lexmin_spanning_tree(smaller)
+    except NotConnectedError:  # a bridge: every cycletree goes through it
+        without_edge = (0,) * g.edge_count
+    else:
         old_edge = {new: old for old, new in relabeling.edges.items()}
-        cycle_basis = fundamental_basis(g, {old_edge[e] for e in lexmin_spanning_tree(smaller)})
+        cycle_basis = fundamental_basis(g, {old_edge[e] for e in tree})
         cycles = [z for e, z in zip(cycle_basis.non_tree_edges, cycle_basis.cycles) if e != edge]
         windings = [_covector_winding(a, z) for z in cycles]
         without_edge = _weighted_cycle_sum(g.edge_count, cycles, windings, tree_number(smaller))
-    else:
-        without_edge = (0,) * g.edge_count
     return tuple(x - y for x, y in zip(a.standard_cycle, without_edge)), without_edge
 
 
@@ -485,9 +487,7 @@ def extended_winding(a: Unicyclization, chain: Sequence) -> Fraction:
 
 def winding_report(a: Unicyclization, chain: Sequence) -> WindingReport:
     """Evaluate a chain: integer winding for cycles, rational otherwise."""
-    is_cycle = all(type(x) is int for x in chain) and all(
-        v == 0 for v in mat_vec(incidence_matrix(a.graph), chain)
-    )
+    is_cycle = all(type(x) is int for x in chain) and not any(boundary(a.graph, chain))
     if is_cycle:
         value: int | Fraction = winding_number(a, chain)
     else:
@@ -516,10 +516,9 @@ def harmonic_to_unicyclizer(
         raise DimensionError(f"face matrix has {faces.rows} rows, graph has {g.edge_count} edges")
     if all(c == 0 for c in chain):
         raise ValueError("the zero chain is not a harmonic cycle")
-    incid = incidence_matrix(g)
-    if any(v != 0 for v in mat_vec(incid, chain)):
+    if any(boundary(g, chain)):
         raise ValueError("chain is not a cycle")
-    if not (incid @ faces).is_zero():
+    if not are_cycles(g, faces):
         raise ValueError("face columns are not cycles")
     for j in range(faces.cols):
         if dot(chain, faces.column(j)) != 0:

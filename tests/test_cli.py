@@ -385,3 +385,109 @@ def test_fallback_faces_of_a_large_circulant_finish_under_limits(tmp_path):
     done = run_limited("validate", str(by_faces))
     assert done.returncode == 0, done.stderr
     assert done.stdout == run_limited("validate", str(by_unicyclizer)).stdout
+
+
+def test_homology_of_a_long_path_with_isolated_vertices(tmp_path):
+    # 2^10 path edges and 2^10 isolated vertices: a spanning forest answers
+    # without the dense (2^11 + 1) x 2^10 incidence matrix.
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"vertices": 2 * MAX_EDGES + 1, "edges": [[i, i + 1] for i in range(MAX_EDGES)]}))
+    for dim, rank_ in ((0, MAX_EDGES + 1), (1, 0)):
+        done = run_limited("homology", str(path), "--dim", str(dim))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"dim": dim, "rank": rank_, "torsion": []}
+
+
+def test_bad_basis_tree_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad-tree.json"
+    path.write_text('{"vertices":3,"edges":[[0,1],[0,1],[1,2]],"unicyclizer":[],"basis_tree":[0,1]}')
+    for argv in (["validate"], ["lambda"], ["homology"], ["split", "--edge", "0"]):
+        code, payload, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and payload is None
+        assert err == "hx: basis_tree: edge set is not a spanning tree\n"
+
+
+def test_validate_reduces_the_faces_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "fallback.json"
+    path.write_text(FALLBACK_DOC)
+    expected = run(capsys, "validate", str(path))
+    calls = []
+    reduce_faces = winding.face_lattice_basis
+
+    def counted(faces):
+        calls.append(faces)
+        return reduce_faces(faces)
+
+    monkeypatch.setattr(winding, "face_lattice_basis", counted)
+    assert run(capsys, "validate", str(path)) == expected
+    assert len(calls) == 1
+
+
+FUZZ_BASES = (
+    json.loads(THETA_DOC),
+    json.loads(FALLBACK_DOC),
+    {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0], [0, 0]], "unicyclizer": [[1, 1, 1, 0]], "basis_tree": [0, 1]},
+)
+
+
+def _nodes(value, path=()):
+    """Every (path, value) in a decoded JSON document, the root included."""
+    yield path, value
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _replace(doc, path, new):
+    if not path:
+        return new
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return doc
+
+
+def malformed_document(rng):
+    """Text of a document that every command must refuse as an input error:
+    a valid base document with one corruption the parser rejects."""
+    doc = json.loads(json.dumps(rng.choice(FUZZ_BASES)))
+    kind = rng.randrange(7)
+    if kind == 0:  # one node of the wrong JSON type
+        path, value = rng.choice(list(_nodes(doc)))
+        wrong = (None, True, 1.5, "7", {}) + ((3,) if isinstance(value, (list, dict)) else ([],))
+        doc = _replace(doc, path, rng.choice([w for w in wrong if type(w) is not type(value)]))
+    elif kind == 1:  # an integer out of its range
+        path = rng.choice([p for p, v in _nodes(doc) if type(v) is int])
+        bad = {"vertices": (0, -1, MAX_VERTICES + 1), "edges": (-1, doc["vertices"]), "basis_tree": (-1, len(doc["edges"]))}
+        doc = _replace(doc, path, rng.choice(bad.get(path[0], (1 << MAX_ENTRY_BITS, -(1 << MAX_ENTRY_BITS)))))
+    elif kind == 2:  # an edge pair or a column of the wrong length
+        path, value = rng.choice([(p, v) for p, v in _nodes(doc) if len(p) == 2 and p[0] != "basis_tree"])
+        _replace(doc, path, value[:-1] if rng.random() < 0.5 else value + [0])
+    elif kind == 3:  # a missing, unknown or conflicting key
+        choice = rng.randrange(3)
+        if choice == 0:
+            del doc[rng.choice(("vertices", "edges"))]
+        else:
+            doc["unknown" if choice == 1 else ("faces" if "unicyclizer" in doc else "unicyclizer")] = []
+    elif kind == 4:  # a basis tree that repeats an edge or does not span
+        tree = doc.get("basis_tree", [0])
+        doc["basis_tree"] = tree + tree[:1] if rng.random() < 0.5 else tree[1:]
+    text = json.dumps(doc)
+    if kind == 5:  # cut short
+        text = text[: rng.randrange(len(text))]
+    elif kind == 6:  # trailing data
+        text += rng.choice(("x", "{}", "]", "0"))
+    return text
+
+
+def test_malformed_documents_are_input_errors(tmp_path, capsys):
+    rng = random.Random(2026)
+    path = tmp_path / "fuzz.json"
+    for _ in range(250):
+        text = malformed_document(rng)
+        path.write_text(text)
+        for argv in (["validate"], ["lambda"], ["homology"], ["split", "--edge", "0"]):
+            code, payload, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert (code, payload) == (2, None), (text, argv, err)
+            assert err.startswith("hx: ") and "internal error" not in err, (text, argv, err)

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hx.complexes import (
     check_mean_value,
     complex_from_boundaries,
     energy,
+    graph_homology,
     harmonic_basis,
     homology_group,
     laplacian,
@@ -201,3 +204,53 @@ def test_kernel_of_laplacian_matches_harmonic_space():
     for x in family_complexes():
         for i in (0, 1):
             assert len(kernel_basis(laplacian(x, i))) == len(harmonic_basis(x, i))
+
+
+def assert_graph_homology_matches(g, faces):
+    boundaries = [incidence_matrix(g)] + ([] if faces is None else [faces])
+    x = complex_from_boundaries(*boundaries)
+    for i in range(x.dimension + 1):
+        assert graph_homology(g, faces, i) == homology_group(x, i)
+    with pytest.raises(DimensionError, match=f"^dimension {x.dimension + 1} out of range 0..{x.dimension}$"):
+        graph_homology(g, faces, x.dimension + 1)
+
+
+def test_graph_homology_matches_generic_homology_family():
+    seen = set()
+    for g, partial in exhaustive_family(4, 6, 2, per_graph=20, seed=2024):
+        assert_graph_homology_matches(g, partial)
+        if g not in seen:
+            seen.add(g)
+            assert_graph_homology_matches(g, None)
+
+
+@st.composite
+def graph_documents(draw):
+    """A multigraph, possibly disconnected and with isolated vertices, and faces
+    that are integer combinations of its cycles (or no faces)."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    g = Multigraph(n, tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=9))))
+    if draw(st.booleans()):
+        return g, None
+    cycles = kernel_basis(incidence_matrix(g))
+    columns = []
+    for _ in range(draw(st.integers(0, 4))):
+        coefficients = draw(st.lists(st.integers(-4, 4), min_size=len(cycles), max_size=len(cycles)))
+        scale = draw(st.sampled_from((1, 1, 2, 3, 6)))
+        columns.append([scale * sum(c * z[e] for c, z in zip(coefficients, cycles)) for e in range(g.edge_count)])
+    return g, IntMatrix.from_columns(columns, rows=g.edge_count)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graph_documents())
+def test_graph_homology_matches_generic_homology_documents(case):
+    assert_graph_homology_matches(*case)
+
+
+def test_graph_homology_rejects_faces_that_are_not_cycles():
+    faces = IntMatrix.from_columns([[1, -1, 0], [1, 0, 0]])
+    with pytest.raises(DimensionError, match="^boundary 1 composed with boundary 2 is nonzero$"):
+        graph_homology(THETA, faces, 1)
+    with pytest.raises(DimensionError, match="^boundary 1 composed with boundary 2 is nonzero$"):
+        complex_from_boundaries(THETA_D1, faces)

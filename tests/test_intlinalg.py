@@ -9,6 +9,7 @@ from hx.intlinalg import (
     IntMatrix,
     _echelon,
     det,
+    dot,
     gcd_of_vector,
     kernel_basis,
     mat_vec,
@@ -159,3 +160,25 @@ def test_constructors_reject_non_integer_entries(entry):
         IntMatrix.from_rows([[1, entry]])
     with pytest.raises(DimensionError):
         IntMatrix.from_columns([[1, entry]])
+
+
+@pytest.mark.parametrize(
+    "entries, named",
+    [((1, 2.5, "x"), "float"), ((Fraction(1, 2), 0.5), "Fraction"), ((0, 1, True), "bool"), ((None, 1, 2), "NoneType")],
+)
+def test_int_check_names_the_first_offending_type(entries, named):
+    with pytest.raises(DimensionError, match=f"^matrix entries must be ints, got {named}$"):
+        IntMatrix(1, len(entries), entries)
+
+
+def test_products_match_entrywise_sums():
+    rng = random.Random(8)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        m = random_matrix(rng, rows, cols)
+        vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
+        assert mat_vec(m, vec) == [sum(m[i, j] * vec[j] for j in range(cols)) for i in range(rows)]
+        ints = [rng.randint(-9, 9) for _ in range(cols)]
+        assert dot(ints, vec) == sum(a * b for a, b in zip(ints, vec))
+        columns = [m.column(j) for j in range(cols)]
+        assert IntMatrix.from_columns(columns, rows=rows) == m

@@ -5,7 +5,7 @@ import pytest
 
 from hx.errors import EnumerationCapError, NotConnectedError
 from hx.graphs import Multigraph, contract, delete, incidence_matrix, is_connected
-from hx.intlinalg import mat_vec
+from hx.intlinalg import IntMatrix, det, mat_vec
 from hx.spanning import (
     GRAPH_CACHE_SIZE,
     _cycletrees_cached,
@@ -17,7 +17,7 @@ from hx.spanning import (
     tree_number,
     unique_cycle,
 )
-from hx.verify import connected_multigraphs
+from hx.verify import _cycletree_count_or_zero, connected_multigraphs
 
 THETA = Multigraph(2, ((0, 1), (0, 1), (0, 1)))
 
@@ -207,7 +207,7 @@ def test_cycletree_bijections_family():
 
 
 def test_graph_caches_are_bounded():
-    caches = (_spanning_trees_cached, _cycletrees_cached, tree_number, connected_multigraphs)
+    caches = (_spanning_trees_cached, _cycletrees_cached, tree_number, connected_multigraphs, _cycletree_count_or_zero)
     kinds = ((0, 1), (1, 0), (0, 0), (1, 1))
     for i in range(GRAPH_CACHE_SIZE + 8):
         # A distinct cheap graph per i: an edge 0-1 plus seven edges chosen by the base-4 digits of i.
@@ -216,5 +216,104 @@ def test_graph_caches_are_bounded():
         cycletrees(g)
         tree_number(g)
         connected_multigraphs(0, i)
+        _cycletree_count_or_zero(g)
         assert all(cache.cache_info().currsize <= GRAPH_CACHE_SIZE for cache in caches)
     assert all(cache.cache_info().currsize == GRAPH_CACHE_SIZE for cache in caches)
+
+
+def tree_path(g, tree, start, goal):
+    """Oracle: the edge walk through the tree from start to goal as (edge id,
+    direction), by a fresh depth-first search over the tree's adjacency."""
+    adjacency = {v: [] for v in range(g.vertex_count)}
+    for e in tree:
+        t, h = g.edges[e]
+        adjacency[t].append((h, e, 1))
+        adjacency[h].append((t, e, -1))
+    prev = {}
+    stack, seen = [start], {start}
+    while stack:
+        v = stack.pop()
+        for w, e, direction in adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                prev[w] = (v, e, direction)
+                stack.append(w)
+    path, v = [], goal
+    while v != start:
+        u, e, direction = prev[v]
+        path.append((e, direction))
+        v = u
+    return path
+
+
+def fundamental_cycles_by_paths(g, tree):
+    cycles = []
+    for e in range(g.edge_count):
+        if e in tree:
+            continue
+        coeffs = [0] * g.edge_count
+        coeffs[e] = 1
+        tail, head = g.edges[e]
+        for f, direction in tree_path(g, tree, head, tail):
+            coeffs[f] = direction
+        cycles.append(tuple(coeffs))
+    return tuple(cycles)
+
+
+def random_spanning_tree(rng, g):
+    """Union-find over the edges in a random order."""
+    parent = list(range(g.vertex_count))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    tree = set()
+    for e in rng.sample(range(g.edge_count), g.edge_count):
+        a, b = find(g.edges[e][0]), find(g.edges[e][1])
+        if a != b:
+            parent[a] = b
+            tree.add(e)
+    return frozenset(tree)
+
+
+def test_fundamental_basis_matches_tree_path_oracle_family():
+    for g in connected_multigraphs(4, 5):
+        for tree in spanning_trees(g):
+            assert fundamental_basis(g, tree).cycles == fundamental_cycles_by_paths(g, tree)
+
+
+def test_fundamental_basis_matches_tree_path_oracle_random_trees():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+        rng.shuffle(edges)
+        g = Multigraph(n, tuple((h, t) if rng.random() < 0.5 else (t, h) for t, h in edges))
+        tree = random_spanning_tree(rng, g)
+        assert fundamental_basis(g, tree).cycles == fundamental_cycles_by_paths(g, tree)
+
+
+@pytest.mark.parametrize(
+    "graph, tree",
+    [
+        (THETA, {0, 1}),  # too many edges
+        (Multigraph(3, ((0, 1), (0, 1), (1, 2))), {0, 1}),  # V - 1 edges with a cycle, missing vertex 2
+        (Multigraph(2, ((0, 1), (1, 1), (0, 0))), {1}),  # a loop
+        (Multigraph(4, ((0, 1), (2, 3), (1, 2))), {0, 1}),  # too few edges
+    ],
+)
+def test_fundamental_basis_rejects_non_spanning_sets(graph, tree):
+    with pytest.raises(ValueError, match="^edge set is not a spanning tree$"):
+        fundamental_basis(graph, tree)
+
+
+def test_tree_number_matches_incidence_laplacian_family():
+    for g in connected_multigraphs(4, 6):
+        d1 = incidence_matrix(g)
+        laplacian = d1 @ d1.transpose()
+        n = g.vertex_count - 1
+        reduced = IntMatrix(n, n, tuple(laplacian[i, j] for i in range(1, n + 1) for j in range(1, n + 1)))
+        assert tree_number(g) == det(reduced)

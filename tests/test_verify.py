@@ -4,10 +4,11 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from hx.errors import UnicyclizerAxiomError
-from hx.graphs import Multigraph, corank, is_connected
+from hx.graphs import Multigraph, contract, corank, delete, is_connected
 from hx.intlinalg import IntMatrix
 from hx.spanning import cycletrees
 from hx.verify import (
+    _cycletree_count_or_zero,
     connected_multigraphs,
     exhaustive_family,
     verify_counts,
@@ -179,3 +180,12 @@ def test_family_stream_digest_is_pinned():
     assert hashlib.sha256(stream.encode()).hexdigest() == (
         "792980f456c488fb6043bce8dbb19e82b9a275b54d3e2f731542f3154322a431"
     )
+
+
+def test_cycletree_count_matches_enumeration_family():
+    for g in connected_multigraphs(4, 6):
+        assert _cycletree_count_or_zero(g) == len(cycletrees(g))
+        for e in range(g.edge_count):
+            for smaller, _ in (delete(g, e), contract(g, e)):
+                expected = len(cycletrees(smaller)) if is_connected(smaller) else 0
+                assert _cycletree_count_or_zero(smaller) == expected
