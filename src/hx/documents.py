@@ -33,7 +33,8 @@ MAX_VERTICES = 1 << 20
 # Largest edge count a document may declare. On the cycle graph with 2^10
 # edges, `validate` and `trees` each take about 50 s, nearly all of it the
 # tree count's determinant, and `homology --dim 1` 0.2 s; none needs more
-# than 50 MB (same host).
+# than 50 MB (same host). `homology --dim 1` on the circulant with 200 edges
+# (i, i+1), (i, i+2) mod 100 and +-9 coordinates takes 1.7 s and 20 MB.
 MAX_EDGES = 1 << 10
 # Largest product of the vertex and edge counts, the entry count of the dense
 # incidence matrix. Only a connected graph's is built, by `verify`, and every
@@ -42,7 +43,8 @@ MAX_EDGES = 1 << 10
 # takes 0.2 s and 57 MB for `--dim 0` or `--dim 1` (same host).
 MAX_INCIDENCE_ENTRIES = 1 << 22
 # Largest bit length of a unicyclizer or face entry. Every exact elimination
-# carries intermediates whose size grows with the entries' bits.
+# carries intermediates whose size grows with the entries' bits; on the
+# 50-edge circulant with 55-bit coordinates `homology --dim 1` takes 0.23 s.
 MAX_ENTRY_BITS = 64
 
 

@@ -4,8 +4,9 @@ Everything here is exact: matrices hold arbitrary-precision Python ints.
 One fraction-free Gauss-Jordan routine, ``_echelon``, does all elimination
 in integers and gives rank, primitive kernel vectors and a signed maximal
 minor; its callers read exact solutions and lattice bases off the same
-echelon form. Determinants use a forward-only Bareiss loop, and the Smith
-diagonal (the invariant factors) is computed by gcd reduction.
+echelon form. Determinants use a forward-only Bareiss loop. One extended-gcd
+step, ``_clear_row``, builds lattice bases and the Smith diagonal (the
+invariant factors), which is reduced modulo a maximal minor.
 """
 
 from __future__ import annotations
@@ -273,68 +274,72 @@ def gcd_of_vector(vec: Iterable[int]) -> int:
     return math.gcd(*(int(x) for x in vec)) if vec else 0
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    g, r = a, b
+    while r:
+        q = g // r
+        g, r = r, g - q * r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if g < 0:
+        g, x0, y0 = -g, -x0, -y0
+    return g, x0, y0
+
+
+def _clear_row(columns: list[list[int]], i: int) -> None:
+    """Column operations of determinant 1, in place, that leave row i nonzero
+    only in the last column, which ends with +-gcd of the row there.
+
+    Each earlier column j is paired with the last by one extended-gcd step
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4): with
+    g = x a + y b for a, b their entries in row i, they become
+    (b/g) col_j - (a/g) col_last and x col_j + y col_last. When b divides a,
+    ``_xgcd`` gives x = 0, so the last column is kept as it is.
+    """
+    for j in range(len(columns) - 1):
+        lead = columns[j][i]
+        if lead == 0:
+            continue
+        col_j, col_last = columns[j], columns[-1]
+        gg, x, y = _xgcd(lead, col_last[i])
+        lead_g, corner_g = lead // gg, col_last[i] // gg
+        columns[j] = [corner_g * p - lead_g * q for p, q in zip(col_j, col_last)]
+        columns[-1] = [x * p + y * q for p, q in zip(col_j, col_last)]
+
+
 def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """The invariant factors d_1 | d_2 | ... | d_r of the Smith normal form.
 
-    Diagonalizes by moving a smallest nonzero entry into pivot position and
-    gcd-reducing its row and column, then repairs the divisibility chain.
+    D, the absolute value of the pivot minor of one ``_echelon``, is a
+    nonzero r x r minor for r the rank, so d_1 ... d_r divides it. The
+    columns of m and of D I then span a lattice with invariant factors
+    (d_1, ..., d_r, D, ..., D), whose Smith form runs with every entry
+    reduced mod D (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987;
+    Cohen, *A Course in Computational Algebraic Number Theory*, 2.4). The
+    pivot is the last entry: ``_clear_row`` clears its row, and while the
+    pivot does not divide its column the matrix is transposed (same Smith
+    form) and cleared again, each time to a strictly smaller pivot. Each
+    pivot p gives the factor gcd(p, D), and pairwise gcd/lcm steps order
+    them into a chain, as diag(a, b) is equivalent to diag(gcd, lcm).
     """
-    nrows, ncols = m.rows, m.cols
-    d = m.to_rows()
-
-    def reduce_pivot(p):
-        """Clear row p and column p outside the pivot, leaving it positive."""
-        while True:
-            restart = False
-            for i in range(p + 1, nrows):
-                if d[i][p] == 0:
-                    continue
-                q = d[i][p] // d[p][p]
-                d[i] = [x - q * y for x, y in zip(d[i], d[p])]
-                if d[i][p] != 0:
-                    d[i], d[p] = d[p], d[i]
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(p + 1, ncols):
-                if d[p][j] == 0:
-                    continue
-                q = d[p][j] // d[p][p]
-                for row in d:
-                    row[j] -= q * row[p]
-                if d[p][j] != 0:
-                    for row in d:
-                        row[j], row[p] = row[p], row[j]
-                    restart = True
-                    break
-            if not restart:
-                break
-        if d[p][p] < 0:
-            d[p] = [-x for x in d[p]]
-
-    r = 0
-    for p in range(min(nrows, ncols)):
-        best = None
-        for i in range(p, nrows):
-            for j in range(p, ncols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        d[best[0]], d[p] = d[p], d[best[0]]
-        for row in d:
-            row[best[1]], row[p] = row[p], row[best[1]]
-        reduce_pivot(p)
-        r += 1
-
-    # Repair divisibility: pull gcd(d_i, d_{i+1}) forward until the chain holds.
-    while True:
-        bad = next((i for i in range(r - 1) if d[i + 1][i + 1] % d[i][i] != 0), None)
-        if bad is None:
-            break
-        for row in d:
-            row[bad] += row[bad + 1]
-        reduce_pivot(bad)
-    # The repair can flip the sign of the entry after the repaired pivot.
-    return tuple(abs(d[i][i]) for i in range(r))
+    _, pivots, d = _echelon(m)
+    r, modulus = len(pivots), abs(d)
+    if modulus == 1:
+        return (1,) * r
+    vectors = [[x % modulus for x in m.column(j)] for j in range(m.cols)]
+    diagonal = []
+    while vectors and vectors[0]:
+        _clear_row(vectors, -1)
+        pivot = vectors[-1]
+        if math.gcd(*pivot) != pivot[-1]:
+            vectors = [[x % modulus for x in row] for row in zip(*vectors)]
+            continue
+        diagonal.append(math.gcd(pivot[-1], modulus))
+        vectors = [[x % modulus for x in v[:-1]] for v in vectors[:-1]]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            diagonal[i], diagonal[j] = math.gcd(a, b), math.lcm(a, b)
+    return tuple(diagonal[:r])

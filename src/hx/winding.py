@@ -38,6 +38,7 @@ from .intlinalg import (
     mat_vec,
     rank,
     smith_diagonal,
+    _clear_row,
     _echelon,
     _primitive,
 )
@@ -389,40 +390,6 @@ def _basis_change_sign(a: Unicyclization, cycles) -> int:
     if sign not in (1, -1):
         raise InternalError(f"change of cycle basis has determinant {sign}, expected +-1")
     return sign
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    g, r = a, b
-    while r:
-        q = g // r
-        g, r = r, g - q * r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if g < 0:
-        g, x0, y0 = -g, -x0, -y0
-    return g, x0, y0
-
-
-def _clear_row(columns: list[list[int]], i: int) -> None:
-    """Column operations of determinant 1, in place, that leave row i nonzero
-    only in the last column, which ends with +-gcd of the row there.
-
-    Each earlier column j is paired with the last by one extended-gcd step
-    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4): with
-    g = x a + y b for a, b their entries in row i, they become
-    (b/g) col_j - (a/g) col_last and x col_j + y col_last.
-    """
-    for j in range(len(columns) - 1):
-        lead = columns[j][i]
-        if lead == 0:
-            continue
-        col_j, col_last = columns[j], columns[-1]
-        gg, x, y = _xgcd(lead, col_last[i])
-        lead_g, corner_g = lead // gg, col_last[i] // gg
-        columns[j] = [corner_g * p - lead_g * q for p, q in zip(col_j, col_last)]
-        columns[-1] = [x * p + y * q for p, q in zip(col_j, col_last)]
 
 
 def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization, int]:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import resource
@@ -195,18 +196,23 @@ def test_disconnected_graph_is_input_error(tmp_path, capsys):
     assert code == 2 and "connected" in err
 
 
+def hx_env(**variables):
+    """The environment of a child hx process: this checkout's src first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)
+
+
 def run_limited(*argv):
     """Run hx in a child process under a 512 MB address-space limit, so a
     per-vertex allocation on a huge document exits 3 instead of exhausting memory."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
     return subprocess.run(
         [sys.executable, "-m", "hx.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_memory,
+        capture_output=True, text=True, env=hx_env(), timeout=60, preexec_fn=limit_memory,
     )
 
 
@@ -363,28 +369,77 @@ def test_fallback_faces_keep_every_basis_free_output(tmp_path, capsys):
     assert code == 0 and payload["lambda"] in ([0, 0, 0, 5, 5], [0, 0, 0, -5, -5])
 
 
-def test_fallback_faces_of_a_large_circulant_finish_under_limits(tmp_path):
-    # Circulant (i, i+1), (i, i+2) mod 50, so 100 edges; the unicyclizer is F M
-    # for the fundamental cycles F and a random +-9 matrix M, with its first
-    # column f replaced by the faces 2f and 3f, which span the same lattice.
-    n = 50
+def circulant_unicyclizer(n: int, seed: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Edges (i, i+1), (i, i+2) mod n, and the columns of the unicyclizer F M for
+    the fundamental cycles F and a random +-9 matrix M of full column rank."""
     edges = [[i, (i + step) % n] for i in range(n) for step in (1, 2)]
     g = Multigraph(n, tuple(map(tuple, edges)))
     cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
     m = len(cycles)
-    rng = random.Random(1)
+    rng = random.Random(seed)
     combo = IntMatrix.zero(m, m - 1)
     while rank(combo) < m - 1:
         combo = IntMatrix(m, m - 1, tuple(rng.randint(-9, 9) for _ in range(m * (m - 1))))
     partial = IntMatrix.from_columns(cycles, rows=len(edges)) @ combo
-    columns = [list(partial.column(j)) for j in range(partial.cols)]
+    return edges, [list(partial.column(j)) for j in range(partial.cols)]
+
+
+def test_fallback_faces_of_a_large_circulant_finish_under_limits(tmp_path):
+    # 100 edges; the first unicyclizer column f is replaced by the faces 2f
+    # and 3f, which span the same lattice.
+    n = 50
+    edges, columns = circulant_unicyclizer(n, 1)
     faces = [[2 * x for x in columns[0]], [3 * x for x in columns[0]], *columns[1:]]
     by_faces, by_unicyclizer = tmp_path / "faces.json", tmp_path / "unicyclizer.json"
     by_faces.write_text(json.dumps({"vertices": n, "edges": edges, "faces": faces}))
     by_unicyclizer.write_text(json.dumps({"vertices": n, "edges": edges, "unicyclizer": columns}))
-    done = run_limited("validate", str(by_faces))
+    for argv in (["validate"], ["homology", "--dim", "1"]):
+        done = run_limited(argv[0], str(by_faces), *argv[1:])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == run_limited(argv[0], str(by_unicyclizer), *argv[1:]).stdout
+
+
+def test_homology_of_a_200_edge_circulant_finishes_under_limits(tmp_path):
+    # The Smith form runs modulo a maximal minor, so its entries stay bounded.
+    n = 100
+    edges, columns = circulant_unicyclizer(n, 1)
+    path = tmp_path / "circulant.json"
+    path.write_text(json.dumps({"vertices": n, "edges": edges, "unicyclizer": columns}))
+    done = run_limited("homology", str(path), "--dim", "1")
     assert done.returncode == 0, done.stderr
-    assert done.stdout == run_limited("validate", str(by_unicyclizer)).stdout
+    group = json.loads(done.stdout)
+    assert group["rank"] == 1
+    validated = run_limited("validate", str(path))
+    assert validated.returncode == 0, validated.stderr
+    assert math.prod(group["torsion"]) == json.loads(validated.stdout)["tau"]
+
+
+def test_output_is_byte_identical_across_hash_seeds(tmp_path):
+    # Set and str-keyed dict order changes with PYTHONHASHSEED; stdout must not.
+    edges, columns = circulant_unicyclizer(4, 6)
+    unicyclizer = tmp_path / "unicyclizer.json"
+    unicyclizer.write_text(json.dumps({"vertices": 4, "edges": edges, "unicyclizer": columns}))
+    faces = tmp_path / "faces.json"
+    faces.write_text(json.dumps({"vertices": 4, "edges": edges, "faces": [[2 * x for x in columns[0]], *columns[1:]]}))
+    runs = [
+        ("lambda", unicyclizer),
+        ("split", unicyclizer, "--edge", "3"),
+        ("homology", faces, "--dim", "1"),
+        ("verify", unicyclizer, "--all"),
+        ("verify", faces, "--all"),
+    ]
+    for command, path, *options in runs:
+        outputs = set()
+        for seed in ("0", "1", "2024"):
+            done = subprocess.run(
+                [sys.executable, "-m", "hx.cli", command, str(path), *options],
+                capture_output=True, env=hx_env(PYTHONHASHSEED=seed), timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, (command, outputs)
+        if command == "homology":
+            assert json.loads(outputs.pop())["torsion"]
 
 
 def test_homology_of_a_long_path_with_isolated_vertices(tmp_path):

@@ -129,6 +129,11 @@ def unicyclized_circulants(draw):
 def test_covector_matches_determinant_windings(a):
     assert list(a.covector) == determinant_windings(a, a.basis)
     assert a.torsion_order == math.gcd(*a.covector)
+    # The covector gcd is an oracle for the Smith diagonal, which runs modulo
+    # a maximal minor that can be far larger than the torsion order.
+    order, factors = torsion(a)
+    assert order == a.torsion_order
+    assert len(factors) == a.cycle_rank - 1 and math.prod(factors) == a.torsion_order
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

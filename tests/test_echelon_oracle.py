@@ -187,7 +187,7 @@ def test_smith_diagonal_matches_full_form_and_sympy():
 @st.composite
 def integer_matrices(draw):
     rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    bound = draw(st.sampled_from((1, 9, 1000)))
+    bound = draw(st.sampled_from((1, 9, 1000, 2**55)))
     entries = draw(st.lists(st.integers(-bound, bound), min_size=rows * cols, max_size=rows * cols))
     return IntMatrix(rows, cols, tuple(entries))
 
