@@ -10,18 +10,18 @@ incidence matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionError
 from .graphs import Multigraph, _forest, are_cycles
 from .intlinalg import IntMatrix, _echelon, kernel_basis, mat_vec, rank, smith_diagonal, vstack
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class ChainComplex:
+
+class ChainComplex(NamedTuple):
     """Cell counts per dimension plus boundary maps d_1 .. d_d."""
 
     dims: tuple[int, ...]
@@ -44,8 +44,7 @@ class ChainComplex:
             raise DimensionError(f"dimension {i} out of range 0..{self.dimension}")
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     """Free rank plus the invariant factors larger than one."""
 
     rank: int

@@ -15,8 +15,7 @@ document edge-list order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DocumentError
 from .graphs import Multigraph
@@ -48,8 +47,7 @@ MAX_INCIDENCE_ENTRIES = 1 << 22
 MAX_ENTRY_BITS = 64
 
 
-@dataclass(frozen=True)
-class ComplexDocument:
+class ComplexDocument(NamedTuple):
     vertices: int
     edges: tuple[tuple[int, int], ...]
     unicyclizer: IntMatrix | None

@@ -10,24 +10,52 @@ edges; the dense incidence matrix is built only where a matrix is wanted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionError, NotConnectedError
 from .intlinalg import IntMatrix
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
 class Multigraph:
+    """Immutable multigraph, compared and hashed by value: the per-graph
+    caches of ``spanning`` are keyed by it."""
+
+    __slots__ = ("vertex_count", "edges")
+
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...]):
+        if vertex_count < 1:
             raise ValueError("a multigraph needs at least one vertex")
-        for idx, (t, h) in enumerate(self.edges):
-            if not (0 <= t < self.vertex_count and 0 <= h < self.vertex_count):
-                raise ValueError(f"edge {idx} = ({t}, {h}) has endpoints outside 0..{self.vertex_count - 1}")
+        for idx, (t, h) in enumerate(edges):
+            if not (0 <= t < vertex_count and 0 <= h < vertex_count):
+                raise ValueError(f"edge {idx} = ({t}, {h}) has endpoints outside 0..{vertex_count - 1}")
+        _setattr(self, "vertex_count", vertex_count)
+        _setattr(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Multigraph")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Multigraph")
+
+    def __eq__(self, other):
+        if other.__class__ is not Multigraph:
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self):
+        return f"Multigraph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return Multigraph, (self.vertex_count, self.edges)
 
     @property
     def edge_count(self) -> int:
@@ -42,8 +70,7 @@ class Multigraph:
             raise ValueError(f"invalid edge id {edge} (graph has {len(self.edges)} edges)")
 
 
-@dataclass(frozen=True)
-class EdgeRelabeling:
+class EdgeRelabeling(NamedTuple):
     """Id maps from a graph onto its deletion or contraction.
 
     ``edges`` maps each surviving old edge id to its new id; ``vertices``

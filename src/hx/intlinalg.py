@@ -12,27 +12,39 @@ invariant factors), which is reduced modulo a maximal minor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionError
 
+_new = object.__new__
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
+
 class IntMatrix:
     """Immutable dense integer matrix, entries stored row-major.
 
     Zero-row and zero-column matrices are legal values; the 0x0 matrix acts
-    as the empty product (determinant 1).
+    as the empty product (determinant 1). Matrices are compared and hashed
+    by value, and are used as cache keys and set members.
     """
+
+    __slots__ = ("rows", "cols", "entries")
 
     rows: int
     cols: int
     entries: tuple[int, ...]
 
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        _setattr(self, "rows", rows)
+        _setattr(self, "cols", cols)
+        _setattr(self, "entries", entries)
+        self.__post_init__()
+
     def __post_init__(self):
+        """The entry check of every public construction; results the library
+        derives from checked matrices are built by ``_matrix`` without it."""
         if self.rows < 0 or self.cols < 0:
             raise DimensionError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
@@ -42,6 +54,26 @@ class IntMatrix:
         if not set(map(type, self.entries)) <= {int}:
             bad = next(e for e in self.entries if type(e) is not int)
             raise DimensionError(f"matrix entries must be ints, got {type(bad).__name__}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable IntMatrix")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable IntMatrix")
+
+    def __eq__(self, other):
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
+
+    def __reduce__(self):
+        return IntMatrix, (self.rows, self.cols, self.entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -95,7 +127,7 @@ class IntMatrix:
         return [list(entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
+        return _matrix(
             self.cols,
             self.rows,
             tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
@@ -115,16 +147,18 @@ class IntMatrix:
                     rbase = i * m
                     for j in range(m):
                         out[rbase + j] += a * other.entries[ob + j]
-        return IntMatrix(n, m, tuple(out))
+        return _matrix(n, m, tuple(out))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("cannot add matrices of different shapes")
-        return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return _matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def select_rows(self, indices: Sequence[int]) -> "IntMatrix":
         """Rows in the given order (repeats and reorders allowed)."""
-        return IntMatrix(
+        if indices and not (0 <= min(indices) and max(indices) < self.rows):
+            raise IndexError(f"row indices must lie in 0..{self.rows - 1}")
+        return _matrix(
             len(indices), self.cols, tuple(x for i in indices for x in self.row(i))
         )
 
@@ -132,10 +166,21 @@ class IntMatrix:
         return all(e == 0 for e in self.entries)
 
 
+def _matrix(rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
+    """An ``IntMatrix`` built without ``__post_init__``'s check, for results the
+    library computes from matrices already checked, whose shape and int
+    entries hold by construction."""
+    m = _new(IntMatrix)
+    _setattr(m, "rows", rows)
+    _setattr(m, "cols", cols)
+    _setattr(m, "entries", entries)
+    return m
+
+
 def vstack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
     if top.cols != bottom.cols:
         raise DimensionError("column counts differ")
-    return IntMatrix(top.rows + bottom.rows, top.cols, top.entries + bottom.entries)
+    return _matrix(top.rows + bottom.rows, top.cols, top.entries + bottom.entries)
 
 
 def mat_vec(m: IntMatrix, vec: Sequence) -> list:

@@ -12,9 +12,9 @@ the exponential blowup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import EnumerationCapError, NotConnectedError
 from .graphs import (
@@ -30,16 +30,14 @@ DEFAULT_ENUMERATION_CAP = 16
 GRAPH_CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class Cycletree:
+class Cycletree(NamedTuple):
     """Edge set of a cycletree together with its oriented unique cycle."""
 
     edge_ids: frozenset[int]
     cycle: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CycleBasis:
+class CycleBasis(NamedTuple):
     """Fundamental cycle basis attached to a spanning tree.
 
     ``cycles[i]`` is the unique cycle through non-tree edge

@@ -15,31 +15,28 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .complexes import energy, harmonic_basis
 from .errors import NotConnectedError
 from .graphs import Multigraph, contract, corank, delete, is_connected, spanning_subgraph_connected
-from .intlinalg import IntMatrix, det, dot, mat_vec, rank
+from .intlinalg import IntMatrix, _matrix, det, dot, mat_vec, rank
 from .spanning import GRAPH_CACHE_SIZE, cycletrees, fundamental_basis, lexmin_spanning_tree, spanning_trees, tree_number
 from .winding import Unicyclization, cycle_coordinates, standard_harmonic_cycle
 
 DEFAULT_SEED = 2024
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     instance: str
     checks: tuple[Check, ...]
 
@@ -84,7 +81,7 @@ def determinant_windings(a: Unicyclization, cycles) -> list[int]:
     # Each determinant is taken of the transpose, whose rows are coords(z) and then P's columns.
     p_rows = tuple(a.partial[e, j] for j in range(a.partial.cols) for e in a.non_tree_edges)
     m = a.cycle_rank
-    return [a.orientation * det(IntMatrix(m, m, cycle_coordinates(a, z) + p_rows)) for z in cycles]
+    return [a.orientation * det(_matrix(m, m, cycle_coordinates(a, z) + p_rows)) for z in cycles]
 
 
 def _winding_weighted_sum(a: Unicyclization, trees) -> tuple[int, ...]:

@@ -13,12 +13,9 @@ windings and the enumerated sums are kept in ``verify`` as the oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .complexes import ChainComplex, complex_from_boundaries
 from .errors import DimensionError, InternalError, NotConnectedError, UnicyclizerAxiomError
 from .graphs import (
     Multigraph,
@@ -40,6 +37,7 @@ from .intlinalg import (
     smith_diagonal,
     _clear_row,
     _echelon,
+    _matrix,
     _primitive,
 )
 from .spanning import (
@@ -50,8 +48,16 @@ from .spanning import (
     tree_number,
 )
 
+# fractions and complexes are imported by the few functions that use them, so
+# that building an instance, and the commands that only do that, load neither.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
+    from .complexes import ChainComplex
+
+_FIELDS = ("graph", "partial", "basis", "non_tree_edges", "orientation", "tree_count", "covector", "torsion_order")
+
+
 class Unicyclization:
     """A validated (graph, unicyclizer) pair with its cached derived data.
 
@@ -66,6 +72,9 @@ class Unicyclization:
     winding is c . coords(z). Expanding det[e_i | P] along its first column,
     c_i is +-P's maximal minor without row i, so all of c is read off one
     echelon form of P^T, and the gcd of c is ``torsion_order``.
+
+    Instances are immutable and compared and hashed by these fields; the
+    instance dict also holds the ``standard_cycle`` computed on first use.
     """
 
     graph: Multigraph
@@ -77,12 +86,58 @@ class Unicyclization:
     covector: tuple[int, ...]
     torsion_order: int
 
+    def __init__(
+        self,
+        graph: Multigraph,
+        partial: IntMatrix,
+        basis: tuple[tuple[int, ...], ...],
+        non_tree_edges: tuple[int, ...],
+        orientation: int,
+        tree_count: int,
+        covector: tuple[int, ...],
+        torsion_order: int,
+    ):
+        self.__dict__.update(
+            graph=graph,
+            partial=partial,
+            basis=basis,
+            non_tree_edges=non_tree_edges,
+            orientation=orientation,
+            tree_count=tree_count,
+            covector=covector,
+            torsion_order=torsion_order,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Unicyclization")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Unicyclization")
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple(d[name] for name in _FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not Unicyclization:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_FIELDS, self._values()))
+        return f"Unicyclization({fields})"
+
     @property
     def cycle_rank(self) -> int:
         return len(self.basis)
 
     def complex(self) -> ChainComplex:
         """The two-step chain complex (vertices, edges, unicyclizer columns)."""
+        from .complexes import complex_from_boundaries
+
         return complex_from_boundaries(incidence_matrix(self.graph), self.partial)
 
     @cached_property
@@ -113,8 +168,7 @@ def _weighted_cycle_sum(edge_count: int, cycles, values: Sequence[int], k: int) 
     return tuple(mat_vec(IntMatrix.from_columns(cycles, rows=edge_count), [row[m] for row in rows]))
 
 
-@dataclass(frozen=True)
-class WindingReport:
+class WindingReport(NamedTuple):
     value: int | Fraction
     chain: tuple
     is_cycle: bool
@@ -213,7 +267,7 @@ def face_lattice_basis(faces: IntMatrix) -> IntMatrix:
         h_columns.append(pivot[: i + 1] + [x % modulus for x in pivot[i + 1 :]])
         columns = [[x % modulus for x in col] for col in columns]
     lattice = kept_faces @ IntMatrix.from_columns(h_columns, rows=r)
-    return IntMatrix(lattice.rows, lattice.cols, tuple(x // modulus for x in lattice.entries))
+    return _matrix(lattice.rows, lattice.cols, tuple(x // modulus for x in lattice.entries))
 
 
 def from_cw(x: ChainComplex) -> Unicyclization:
@@ -447,6 +501,8 @@ def extended_winding(a: Unicyclization, chain: Sequence) -> Fraction:
     Inner product with the standard harmonic cycle divided by the tree
     count; agrees with the integer winding number on cycles.
     """
+    from fractions import Fraction
+
     if len(chain) != a.graph.edge_count:
         raise DimensionError(f"chain length {len(chain)} != {a.graph.edge_count} edges")
     return Fraction(dot(chain, standard_harmonic_cycle(a)), a.tree_count)
@@ -477,6 +533,8 @@ def harmonic_to_unicyclizer(
     basis has a column the scale is made positive. The faces only define
     the complex in which h must be harmonic; each is in L by the checks.
     """
+    from fractions import Fraction
+
     if len(chain) != g.edge_count:
         raise DimensionError(f"chain length {len(chain)} != {g.edge_count} edges")
     if faces.rows != g.edge_count:

@@ -182,6 +182,16 @@ def test_malformed_document(tmp_path, capsys):
     assert code == 2 and "line" in err
 
 
+@pytest.mark.parametrize("key", ["unicyclizer", "faces"])
+@pytest.mark.parametrize("entry", ["1.5", "true"])
+def test_non_integer_entries_are_input_errors(tmp_path, capsys, key, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"{key}":[[1,-1,{entry}]]}}')
+    for command in ("lambda", "homology"):
+        code, payload, err = run(capsys, command, str(path))
+        assert code == 2 and payload is None and f"{key}[0][2]" in err
+
+
 def test_invalid_instance_is_input_error(tmp_path, capsys):
     path = tmp_path / "tree.json"
     path.write_text('{"vertices":3,"edges":[[0,1],[1,2]]}')

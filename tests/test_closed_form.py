@@ -1,6 +1,5 @@
 """The closed-form standard harmonic cycle against the cycletree-sum oracle."""
 
-import dataclasses
 import json
 import math
 import random
@@ -20,6 +19,7 @@ from hx.intlinalg import IntMatrix, det, dot, rank
 from hx.spanning import cycletrees, fundamental_basis, lexmin_spanning_tree
 from hx.verify import cycletree_split, cycletree_sum, determinant_windings, exhaustive_family
 from hx.winding import (
+    Unicyclization,
     contract_unicyclization,
     cycletree_windings,
     delete_unicyclization,
@@ -148,8 +148,18 @@ def test_random_contractions_and_deletions_keep_windings(a):
 
 def test_gram_check_raises_internal_error():
     a = new_unicyclization(Multigraph(2, ((0, 1), (0, 1), (0, 1))), IntMatrix.from_columns([[1, -1, 0]]))
+    corrupted = Unicyclization(
+        graph=a.graph,
+        partial=a.partial,
+        basis=a.basis,
+        non_tree_edges=a.non_tree_edges,
+        orientation=a.orientation,
+        tree_count=a.tree_count + 1,
+        covector=a.covector,
+        torsion_order=a.torsion_order,
+    )
     with pytest.raises(InternalError):
-        standard_harmonic_cycle(dataclasses.replace(a, tree_count=a.tree_count + 1))
+        standard_harmonic_cycle(corrupted)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

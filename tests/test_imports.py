@@ -13,11 +13,11 @@ import hx
 THETA_DOC = '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[1,-1,0]]}'
 
 
-def loaded_hx_modules(code: str) -> set[str]:
-    """The hx modules in sys.modules after running the code in a fresh interpreter."""
+def loaded_modules(code: str) -> set[str]:
+    """The modules in sys.modules after running the code in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    report = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'hx')))"
+    report = "import json, sys; print(json.dumps(sorted(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True, env=env, timeout=60, check=True
     )
@@ -25,20 +25,35 @@ def loaded_hx_modules(code: str) -> set[str]:
 
 
 def test_importing_the_cli_loads_no_library_module():
-    assert loaded_hx_modules("import hx.cli") == {"hx", "hx.cli", "hx.errors"}
+    loaded = loaded_modules("import hx.cli")
+    assert {m for m in loaded if m.split(".")[0] == "hx"} == {"hx", "hx.cli", "hx.errors"}
+
+
+# No command loads dataclasses, with inspect and ast behind it; only the
+# rational winding of a chain needs fractions, with decimal behind it.
+NEVER = {"dataclasses"}
+NO_FRACTIONS = NEVER | {"fractions", "decimal"}
+EXTRA_ARGS = {"winding": ["--chain", "1,-1,0"], "split": ["--edge", "0"]}
 
 
 @pytest.mark.parametrize(
     "command, absent",
     [
-        ("homology", {"hx.winding", "hx.spanning", "hx.verify"}),
-        ("lambda", {"hx.verify"}),
+        ("homology", NO_FRACTIONS | {"hx.winding", "hx.spanning", "hx.verify"}),
+        ("lambda", NO_FRACTIONS | {"hx.complexes", "hx.verify"}),
+        ("validate", NO_FRACTIONS | {"hx.complexes", "hx.verify"}),
+        ("trees", NO_FRACTIONS | {"hx.winding", "hx.verify"}),
+        ("cycletrees", NO_FRACTIONS | {"hx.verify"}),
+        ("split", NO_FRACTIONS | {"hx.complexes", "hx.verify"}),
+        ("verify", NO_FRACTIONS),
+        ("winding", NEVER | {"hx.verify"}),
     ],
 )
 def test_commands_load_only_what_they_run(tmp_path, command, absent):
     path = tmp_path / "theta.json"
     path.write_text(THETA_DOC)
-    loaded = loaded_hx_modules(f"from hx.cli import main\nassert main([{command!r}, {str(path)!r}]) == 0")
+    argv = [command, str(path), *EXTRA_ARGS.get(command, [])]
+    loaded = loaded_modules(f"from hx.cli import main\nassert main({argv!r}) == 0")
     assert "hx.documents" in loaded
     assert not loaded & absent
 

@@ -15,6 +15,7 @@ from hx.intlinalg import (
     mat_vec,
     rank,
     smith_diagonal,
+    vstack,
 )
 
 
@@ -154,8 +155,10 @@ def test_gcd_of_vector():
     assert gcd_of_vector(()) == 0
 
 
-@pytest.mark.parametrize("entry", [Fraction(3, 2), 0.9, Fraction(-1, 2), Fraction(2, 1), True])
+@pytest.mark.parametrize("entry", [Fraction(3, 2), 0.9, Fraction(-1, 2), Fraction(2, 1), True, 1.5])
 def test_constructors_reject_non_integer_entries(entry):
+    with pytest.raises(DimensionError):
+        IntMatrix(1, 1, (entry,))
     with pytest.raises(DimensionError):
         IntMatrix.from_rows([[1, entry]])
     with pytest.raises(DimensionError):
@@ -169,6 +172,21 @@ def test_constructors_reject_non_integer_entries(entry):
 def test_int_check_names_the_first_offending_type(entries, named):
     with pytest.raises(DimensionError, match=f"^matrix entries must be ints, got {named}$"):
         IntMatrix(1, len(entries), entries)
+
+
+def test_derived_matrices_pass_the_entry_check():
+    """Products, transposes, sums, row selections and stacks skip the entry
+    check; each must still be a matrix the checked constructor accepts."""
+    rng = random.Random(9)
+    for _ in range(100):
+        n, k, m = (rng.randint(0, 4) for _ in range(3))
+        a, b = random_matrix(rng, n, k), random_matrix(rng, k, m)
+        indices = [rng.randrange(n) for _ in range(rng.randint(0, 5))] if n else []
+        for d in (a @ b, a.transpose(), a + a, a.select_rows(indices), vstack(a, a)):
+            assert IntMatrix(d.rows, d.cols, d.entries) == d
+    for bad in ([2], [0, -1]):
+        with pytest.raises(IndexError):
+            IntMatrix.identity(2).select_rows(bad)
 
 
 def test_products_match_entrywise_sums():
