@@ -4,6 +4,10 @@ Exit codes: 0 success (or all checks passed), 1 verification failure,
 2 input error (bad usage, unreadable file, malformed document, invalid
 instance), 3 internal error (a failed invariant or an unexpected
 exception). Rationals are emitted as exact strings in lowest terms.
+
+The long lists, cycletrees, trees and verification checks, are written
+one record at a time (see ``_write``), so their output is never held
+whole; the bytes are those of ``json.dumps`` on the whole object.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from types import GeneratorType
 
 from .errors import DimensionError, DocumentError, EnumerationCapError, NotConnectedError, UnicyclizerAxiomError
 
@@ -18,6 +23,9 @@ from .errors import DimensionError, DocumentError, EnumerationCapError, NotConne
 # loads only the modules its command runs.
 
 VERIFY_CHECKS = ("inner_product", "harmonicity", "counts", "energy")
+# Characters of output collected before one write to stdout: each write is a
+# system call when Python runs unbuffered.
+WRITE_CHUNK = 1 << 16
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _rational(value) -> str:
-    from fractions import Fraction
+    if type(value) is int:
+        return str(value)
+    from fractions import Fraction  # only a rational value loads fractions, and decimal behind it
 
     return str(Fraction(value))
 
@@ -90,7 +100,7 @@ def _cmd_trees(doc, args) -> tuple[dict, int]:
     g = build_graph(doc)
     payload: dict = {"k": tree_number(g)}
     if args.list_trees:
-        payload["trees"] = [sorted(t) for t in spanning_trees(g, args.cap)]
+        payload["trees"] = (tree for tree in spanning_trees(g, args.cap))
     return payload, 0
 
 
@@ -106,11 +116,12 @@ def _cmd_cycletrees(doc, args) -> tuple[dict, int]:
         return {"count": 0, "cycletrees": []}, 0
     check_enumeration_cap(g, args.cap)
     a = build_unicyclization(doc)
-    items = [
-        {"edges": sorted(ct.edge_ids), "cycle": list(ct.cycle), "winding": w}
-        for ct, w in zip(cycletrees(g, args.cap), cycletree_windings(a, args.cap))
-    ]
-    return {"count": len(items), "cycletrees": items}, 0
+    found = cycletrees(g, args.cap)
+    items = (
+        {"edges": ct.edge_ids, "cycle": ct.cycle, "winding": w}
+        for ct, w in zip(found, cycletree_windings(a, args.cap))
+    )
+    return {"count": len(found), "cycletrees": items}, 0
 
 
 def _cmd_homology(doc, args) -> tuple[dict, int]:
@@ -199,7 +210,7 @@ def _cmd_verify(doc, args) -> tuple[dict, int]:
     payload = {
         "overall": overall,
         "seed": seed,
-        "reports": [r.to_json() for r in reports],
+        "reports": (r.to_json() for r in reports),
     }
     return payload, 0 if overall else 1
 
@@ -219,10 +230,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        from .documents import parse_document
+        from .documents import read_document
 
-        with open(args.file, encoding="utf-8") as handle:
-            doc = parse_document(handle.read())
+        doc = read_document(args.file)
         payload, code = _COMMANDS[args.command](doc, args)
     except (DocumentError, UnicyclizerAxiomError, NotConnectedError, EnumerationCapError, OSError) as exc:
         print(f"hx: {exc}", file=sys.stderr)
@@ -233,8 +243,45 @@ def main(argv=None) -> int:
         print(f"hx: internal error: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 3
-    print(json.dumps(payload))
+    _write(payload)
     return code
+
+
+def _pieces(value):
+    """The text of ``json.dumps(value)`` in pieces: a generator is encoded as
+    a list, record by record, and so is a dict that holds one."""
+    if isinstance(value, GeneratorType):
+        yield "["
+        separator = ""
+        for record in value:
+            yield separator
+            yield from _pieces(record)
+            separator = ", "
+        yield "]"
+    elif isinstance(value, dict) and any(isinstance(v, GeneratorType) for v in value.values()):
+        separator = "{"
+        for key, item in value.items():
+            yield f"{separator}{json.dumps(key)}: "
+            yield from _pieces(item)
+            separator = ", "
+        yield "}"
+    else:
+        yield json.dumps(value)
+
+
+def _write(payload: dict) -> None:
+    """Print ``json.dumps(payload)`` and a newline, in writes of about
+    ``WRITE_CHUNK`` characters, encoding each record of a generator whole."""
+    chunk: list[str] = []
+    size = 0
+    for piece in _pieces(payload):
+        chunk.append(piece)
+        size += len(piece)
+        if size >= WRITE_CHUNK:
+            sys.stdout.write("".join(chunk))
+            chunk, size = [], 0
+    chunk.append("\n")
+    sys.stdout.write("".join(chunk))
 
 
 if __name__ == "__main__":

@@ -41,6 +41,18 @@ MAX_EDGES = 1 << 10
 # spanning forest instead, and at 2^20 vertices with 4 parallel edges it
 # takes 0.2 s and 57 MB for `--dim 0` or `--dim 1` (same host).
 MAX_INCIDENCE_ENTRIES = 1 << 22
+# Largest product of the edge count and the column count of the unicyclizer
+# or the faces. A valid unicyclizer has fewer columns than edges, so every one
+# within MAX_EDGES is admitted; the columns are counted before any is read.
+# At the limit, 2^18 four-entry face or unicyclizer columns with one-digit
+# entries (a 4.1 MB document), `validate` takes up to 4.5 s and 110 MB and
+# `homology --dim 1` 5.3 s and 120 MB (same host).
+MAX_COLUMN_ENTRIES = 1 << 20
+# Largest size of a document in bytes, checked before it is decoded; the
+# worst case at MAX_COLUMN_ENTRIES fits. A JSON container decodes to a Python
+# object of about 80 bytes, so decoding may take 30 times the document's
+# size: on 4 MiB of empty lists, 0.6 s and 122 MB (same host).
+MAX_DOCUMENT_BYTES = 1 << 22
 # Largest bit length of a unicyclizer or face entry. Every exact elimination
 # carries intermediates whose size grows with the entries' bits; on the
 # 50-edge circulant with 55-bit coordinates `homology --dim 1` takes 0.23 s.
@@ -71,6 +83,10 @@ def _expect_entry(value, where: str) -> int:
 def _parse_columns(raw, edge_count: int, where: str) -> IntMatrix:
     if not isinstance(raw, list):
         raise DocumentError(f"{where}: expected a list of columns")
+    if edge_count * len(raw) > MAX_COLUMN_ENTRIES:
+        raise DocumentError(
+            f"{where}: {edge_count} edges x {len(raw)} columns is above the limit of {MAX_COLUMN_ENTRIES} entries"
+        )
     columns = []
     for idx, col in enumerate(raw):
         if not isinstance(col, list):
@@ -154,7 +170,22 @@ def parse_document(text: str) -> ComplexDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"malformed JSON: {exc}") from exc
     return document_from_obj(obj)
+
+
+def read_document(path) -> ComplexDocument:
+    """Read, parse and validate a document file of at most MAX_DOCUMENT_BYTES bytes of UTF-8."""
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_DOCUMENT_BYTES + 1)
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise DocumentError(f"document is above the limit of {MAX_DOCUMENT_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"document is not UTF-8: {exc}") from exc
+    return parse_document(text)
 
 
 def build_graph(doc: ComplexDocument) -> Multigraph:

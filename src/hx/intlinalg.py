@@ -177,6 +177,12 @@ def _matrix(rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
     return m
 
 
+def _from_columns(columns: Sequence[Sequence[int]], rows: int) -> IntMatrix:
+    """``IntMatrix.from_columns`` built by ``_matrix``, for equal-length
+    columns of ints that the library computed."""
+    return _matrix(rows, len(columns), tuple(chain.from_iterable(zip(*columns))))
+
+
 def vstack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
     if top.cols != bottom.cols:
         raise DimensionError("column counts differ")
@@ -370,7 +376,13 @@ def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     them into a chain, as diag(a, b) is equivalent to diag(gcd, lcm).
     """
     _, pivots, d = _echelon(m)
-    r, modulus = len(pivots), abs(d)
+    return _smith_modulo(m, len(pivots), abs(d))
+
+
+def _smith_modulo(m: IntMatrix, r: int, modulus: int) -> tuple[int, ...]:
+    """The invariant factors of m, of rank r, by the Smith form modulo a
+    positive multiple of each of them, see ``smith_diagonal``; a modulus of
+    1 needs no elimination."""
     if modulus == 1:
         return (1,) * r
     vectors = [[x % modulus for x in m.column(j)] for j in range(m.cols)]

@@ -1,7 +1,8 @@
 """Spanning trees, cycletrees, and fundamental cycle bases.
 
 A cycletree is a connected spanning subgraph with exactly one cycle, i.e.
-a spanning tree plus one extra edge, so it has exactly |V| edges. Its
+a spanning tree plus one extra edge, so it has exactly |V| edges. Trees
+and cycletrees are enumerated as ascending edge-id tuples. A cycletree's
 unique cycle is stored as a chain with coefficients in {-1, 0, +1},
 canonically oriented so the smallest cycle edge id gets +1.
 
@@ -31,9 +32,9 @@ GRAPH_CACHE_SIZE = 4096
 
 
 class Cycletree(NamedTuple):
-    """Edge set of a cycletree together with its oriented unique cycle."""
+    """Ascending edge ids of a cycletree together with its oriented unique cycle."""
 
-    edge_ids: frozenset[int]
+    edge_ids: tuple[int, ...]
     cycle: tuple[int, ...]
 
 
@@ -59,18 +60,15 @@ def check_enumeration_cap(g: Multigraph, cap: int | None) -> None:
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _spanning_trees_cached(g: Multigraph) -> tuple[frozenset[int], ...]:
-    size = g.vertex_count - 1
+def _spanning_trees_cached(g: Multigraph) -> tuple[tuple[int, ...], ...]:
     non_loops = [e for e in range(g.edge_count) if not g.is_loop(e)]
-    found = []
-    for combo in combinations(non_loops, size):
-        if spanning_subgraph_connected(g, combo):
-            found.append(frozenset(combo))
-    return tuple(found)
+    return tuple(
+        combo for combo in combinations(non_loops, g.vertex_count - 1) if spanning_subgraph_connected(g, combo)
+    )
 
 
-def spanning_trees(g: Multigraph, cap: int | None = None) -> list[frozenset[int]]:
-    """All spanning trees as edge-id sets, in lexicographic order."""
+def spanning_trees(g: Multigraph, cap: int | None = None) -> list[tuple[int, ...]]:
+    """All spanning trees as ascending edge-id tuples, in lexicographic order."""
     require_connected(g)
     check_enumeration_cap(g, cap)
     return list(_spanning_trees_cached(g))
@@ -137,12 +135,11 @@ def _walk_unique_cycle(g: Multigraph, edge_ids) -> tuple[int, ...]:
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _cycletrees_cached(g: Multigraph) -> tuple[Cycletree, ...]:
-    size = g.vertex_count
-    found = []
-    for combo in combinations(range(g.edge_count), size):
-        if spanning_subgraph_connected(g, combo):
-            found.append(Cycletree(frozenset(combo), _walk_unique_cycle(g, combo)))
-    return tuple(found)
+    return tuple(
+        Cycletree(combo, _walk_unique_cycle(g, combo))
+        for combo in combinations(range(g.edge_count), g.vertex_count)
+        if spanning_subgraph_connected(g, combo)
+    )
 
 
 def cycletrees(g: Multigraph, cap: int | None = None) -> list[Cycletree]:

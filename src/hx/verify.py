@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 from .complexes import energy, harmonic_basis
 from .errors import NotConnectedError
 from .graphs import Multigraph, contract, corank, delete, is_connected, spanning_subgraph_connected
-from .intlinalg import IntMatrix, _matrix, det, dot, mat_vec, rank
+from .intlinalg import IntMatrix, _from_columns, _matrix, det, dot, mat_vec, rank
 from .spanning import GRAPH_CACHE_SIZE, cycletrees, fundamental_basis, lexmin_spanning_tree, spanning_trees, tree_number
 from .winding import Unicyclization, cycle_coordinates, standard_harmonic_cycle
 
@@ -45,14 +45,9 @@ class VerificationReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "instance": self.instance,
-            "overall": self.overall,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "lhs": c.lhs, "rhs": c.rhs}
-                for c in self.checks
-            ],
-        }
+        """The report as a JSON object whose checks are a generator of
+        records, which the CLI's writer encodes one at a time."""
+        return {"instance": self.instance, "overall": self.overall, "checks": (c._asdict() for c in self.checks)}
 
 
 def describe_graph(g: Multigraph) -> str:
@@ -92,7 +87,7 @@ def _winding_weighted_sum(a: Unicyclization, trees) -> tuple[int, ...]:
     """
     counts = Counter(ct.cycle for ct in trees)
     weights = [counts[z] * w for z, w in zip(counts, determinant_windings(a, list(counts)))]
-    return tuple(mat_vec(IntMatrix.from_columns(list(counts), rows=a.graph.edge_count), weights))
+    return tuple(mat_vec(_from_columns(list(counts), a.graph.edge_count), weights))
 
 
 def cycletree_sum(a: Unicyclization, cap: int | None = None) -> tuple[int, ...]:
@@ -299,7 +294,7 @@ def exhaustive_family(
             yield g, IntMatrix.zero(g.edge_count, 0)
             continue
         basis = fundamental_basis(g, lexmin_spanning_tree(g))
-        basis_matrix = IntMatrix.from_columns(basis.cycles, rows=g.edge_count)
+        basis_matrix = _from_columns(basis.cycles, g.edge_count)
         emitted: set[IntMatrix] = set()
         attempts = 0
         while len(emitted) < per_graph and attempts < 50 * per_graph:

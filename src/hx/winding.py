@@ -34,11 +34,12 @@ from .intlinalg import (
     gcd_of_vector,
     mat_vec,
     rank,
-    smith_diagonal,
     _clear_row,
     _echelon,
+    _from_columns,
     _matrix,
     _primitive,
+    _smith_modulo,
 )
 from .spanning import (
     check_enumeration_cap,
@@ -162,10 +163,10 @@ def _weighted_cycle_sum(edge_count: int, cycles, values: Sequence[int], k: int) 
     """
     m = len(cycles)
     augmented = [[dot(u, v) for v in cycles] + [f] for u, f in zip(cycles, values)]
-    rows, pivots, d = _echelon(IntMatrix.from_rows(augmented, cols=m + 1))
+    rows, pivots, d = _echelon(_matrix(m, m + 1, tuple(x for row in augmented for x in row)))
     if pivots != list(range(m)) or d != k:
         raise InternalError(f"Gram matrix of the {m} cycles does not have determinant {k}, the tree count")
-    return tuple(mat_vec(IntMatrix.from_columns(cycles, rows=edge_count), [row[m] for row in rows]))
+    return tuple(mat_vec(_from_columns(cycles, edge_count), [row[m] for row in rows]))
 
 
 class WindingReport(NamedTuple):
@@ -252,7 +253,7 @@ def face_lattice_basis(faces: IntMatrix) -> IntMatrix:
     homology of the complex with all the faces.
     """
     rows, kept, d = _echelon(faces)
-    kept_faces = IntMatrix.from_columns([faces.column(c) for c in kept], rows=faces.rows)
+    kept_faces = _from_columns([faces.column(c) for c in kept], faces.rows)
     if all(v % d == 0 for row in rows for v in row):
         return kept_faces
     r, modulus = len(kept), abs(d)
@@ -266,7 +267,7 @@ def face_lattice_basis(faces: IntMatrix) -> IntMatrix:
             pivot = [-x for x in pivot]
         h_columns.append(pivot[: i + 1] + [x % modulus for x in pivot[i + 1 :]])
         columns = [[x % modulus for x in col] for col in columns]
-    lattice = kept_faces @ IntMatrix.from_columns(h_columns, rows=r)
+    lattice = kept_faces @ _from_columns(h_columns, r)
     return _matrix(lattice.rows, lattice.cols, tuple(x // modulus for x in lattice.entries))
 
 
@@ -326,9 +327,12 @@ def torsion(a: Unicyclization) -> tuple[int, tuple[int, ...]]:
     """Torsion order of the first homology, with its invariant factors.
 
     The factors are the Smith form's diagonal of the unicyclizer's
-    coordinates, computed here on each call: nothing else needs them.
+    coordinates, computed here on each call: nothing else needs them. The
+    torsion order is their product, so the Smith form runs modulo it, and
+    a torsion-free instance needs no elimination.
     """
-    return a.torsion_order, smith_diagonal(a.partial.select_rows(a.non_tree_edges))
+    coordinates = a.partial.select_rows(a.non_tree_edges)
+    return a.torsion_order, _smith_modulo(coordinates, a.cycle_rank - 1, a.torsion_order)
 
 
 def _covector_winding(a: Unicyclization, cycle: Sequence[int]) -> int:
@@ -372,7 +376,7 @@ def standard_harmonic_cycle_grouped(a: Unicyclization, cap: int | None = None) -
     for cycle in cycles:
         contracted, _ = contract_edges(a.graph, [e for e, c in enumerate(cycle) if c])
         weights.append(tree_number(contracted) * _covector_winding(a, cycle))
-    return tuple(mat_vec(IntMatrix.from_columns(cycles, rows=a.graph.edge_count), weights))
+    return tuple(mat_vec(_from_columns(cycles, a.graph.edge_count), weights))
 
 
 def split_standard_cycle(a: Unicyclization, edge: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -440,7 +444,7 @@ def contract_unicyclization(a: Unicyclization, edge: int) -> Unicyclization:
 
 def _basis_change_sign(a: Unicyclization, cycles) -> int:
     """Determinant of the cycles' coordinates in the stored basis, which is +-1 for a Z-basis."""
-    sign = det(IntMatrix.from_columns([[z[e] for e in a.non_tree_edges] for z in cycles], rows=a.cycle_rank))
+    sign = det(_from_columns([[z[e] for e in a.non_tree_edges] for z in cycles], a.cycle_rank))
     if sign not in (1, -1):
         raise InternalError(f"change of cycle basis has determinant {sign}, expected +-1")
     return sign
@@ -487,10 +491,8 @@ def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization,
         raise InternalError(f"column reduction left {columns[ncols - 1][last]} at the deleted edge, expected {n_sigma}")
 
     transported = [relabeling.transport_chain(z) for z in ordered_chains[:-1]]
-    top_coords = IntMatrix.from_columns(
-        [[col[i] for i in range(last)] for col in columns[: ncols - 1]], rows=last
-    )
-    partial_d = IntMatrix.from_columns(transported, rows=smaller.edge_count) @ top_coords
+    top_coords = _from_columns([col[:last] for col in columns[: ncols - 1]], last)
+    partial_d = _from_columns(transported, smaller.edge_count) @ top_coords
     deleted = _assemble(smaller, partial_d, tree, a.orientation * det_u * eps)
     return deleted, n_sigma
 
@@ -554,9 +556,7 @@ def harmonic_to_unicyclizer(
     u = _primitive([dot(z, chain) for z in cycles])
     columns = [[int(r == j) for r in range(m)] + [u[j]] for j in range(m)]
     _clear_row(columns, m)
-    lattice = IntMatrix.from_columns(cycles, rows=g.edge_count) @ IntMatrix.from_columns(
-        [col[:m] for col in columns[:-1]], rows=m
-    )
+    lattice = _from_columns(cycles, g.edge_count) @ _from_columns([col[:m] for col in columns[:-1]], m)
     lam = standard_harmonic_cycle(new_unicyclization(g, lattice))
     pivot = next(e for e, c in enumerate(lam) if c != 0)
     scale = Fraction(chain[pivot], 1) / lam[pivot]
@@ -564,5 +564,5 @@ def harmonic_to_unicyclizer(
         raise ValueError("chain is not proportional to the induced standard harmonic cycle")
     if scale < 0 and lattice.cols:
         columns = [[-x for x in lattice.column(0)]] + [lattice.column(j) for j in range(1, lattice.cols)]
-        return IntMatrix.from_columns(columns, rows=g.edge_count), -scale
+        return _from_columns(columns, g.edge_count), -scale
     return lattice, scale

@@ -136,6 +136,55 @@ def test_covector_matches_determinant_windings(a):
     assert len(factors) == a.cycle_rank - 1 and math.prod(factors) == a.torsion_order
 
 
+def random_unimodular(rng, n):
+    """Row operations of determinant 1 and a row permutation applied to the identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+def planted_torsion_instance(rng, n):
+    """A circulant with 2n edges whose unicyclizer coordinates are U D V for
+    unimodular U, V and D the m x (m - 1) diagonal of a random divisor chain."""
+    g = Multigraph(n, tuple(e for i in range(n) for e in ((i, (i + 1) % n), (i, (i + 2) % n))))
+    cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
+    m = len(cycles)
+    chain = [1]
+    for _ in range(m - 2):
+        chain.append(chain[-1] * rng.choice((1, 1, 1, 2, 3, 5)))
+    diagonal = IntMatrix(m, m - 1, tuple(chain[i] if i == j else 0 for i in range(m) for j in range(m - 1)))
+    coords = random_unimodular(rng, m) @ diagonal @ random_unimodular(rng, m - 1)
+    return new_unicyclization(g, IntMatrix.from_columns(cycles, rows=g.edge_count) @ coords), tuple(chain[: m - 1])
+
+
+def test_torsion_runs_modulo_the_torsion_order(monkeypatch):
+    # The factors are those of the Smith form modulo a maximal minor, which
+    # homology runs, on random and on planted-torsion instances.
+    rng = random.Random(15)
+    instances = [new_unicyclization(g, partial) for g, partial in exhaustive_family(4, 6, 3, per_graph=2)]
+    for n in range(2, 13):
+        a, planted = planted_torsion_instance(rng, n)
+        assert torsion(a) == (math.prod(planted), planted)
+        instances.append(a)
+        partial = None
+        while partial is None:
+            partial = random_unicyclizer(a.graph, lambda size: [rng.randint(-9, 9) for _ in range(size)])
+        instances.append(new_unicyclization(a.graph, partial))
+    assert {a.torsion_order == 1 for a in instances} == {True, False}
+    for a in instances:
+        coords = a.partial.select_rows(a.non_tree_edges)
+        assert torsion(a) == (a.torsion_order, intlinalg.smith_diagonal(coords))
+    # Torsion-free instances take no elimination step.
+    monkeypatch.setattr(intlinalg, "_clear_row", None)
+    for a in instances:
+        if a.torsion_order == 1:
+            assert torsion(a) == (1, (1,) * (a.cycle_rank - 1))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(unicyclized_multigraphs())
 def test_random_contractions_and_deletions_keep_windings(a):

@@ -30,7 +30,8 @@ def test_importing_the_cli_loads_no_library_module():
 
 
 # No command loads dataclasses, with inspect and ast behind it; only the
-# rational winding of a chain needs fractions, with decimal behind it.
+# rational winding of a chain that is not a cycle needs fractions, with
+# decimal behind it. The winding chain below is a cycle of theta.
 NEVER = {"dataclasses"}
 NO_FRACTIONS = NEVER | {"fractions", "decimal"}
 EXTRA_ARGS = {"winding": ["--chain", "1,-1,0"], "split": ["--edge", "0"]}
@@ -46,7 +47,7 @@ EXTRA_ARGS = {"winding": ["--chain", "1,-1,0"], "split": ["--edge", "0"]}
         ("cycletrees", NO_FRACTIONS | {"hx.verify"}),
         ("split", NO_FRACTIONS | {"hx.complexes", "hx.verify"}),
         ("verify", NO_FRACTIONS),
-        ("winding", NEVER | {"hx.verify"}),
+        ("winding", NO_FRACTIONS | {"hx.verify"}),
     ],
 )
 def test_commands_load_only_what_they_run(tmp_path, command, absent):
@@ -56,6 +57,14 @@ def test_commands_load_only_what_they_run(tmp_path, command, absent):
     loaded = loaded_modules(f"from hx.cli import main\nassert main({argv!r}) == 0")
     assert "hx.documents" in loaded
     assert not loaded & absent
+
+
+def test_winding_of_a_non_cycle_loads_fractions(tmp_path):
+    path = tmp_path / "theta.json"
+    path.write_text(THETA_DOC)
+    loaded = loaded_modules(f"from hx.cli import main\nassert main(['winding', {str(path)!r}, '--chain', '0,0,1']) == 0")
+    assert "fractions" in loaded
+    assert not loaded & (NEVER | {"hx.verify"})
 
 
 def test_exports_are_the_submodules_objects():
