@@ -74,23 +74,23 @@ def _rational(value) -> str:
 def _cmd_validate(doc, args) -> tuple[dict, int]:
     from .documents import build_graph, unicyclizer_columns
     from .graphs import corank
-    from .winding import check_axioms, new_unicyclization
+    from .winding import AXIOMS_HOLD, check_axioms, new_unicyclization
 
     g = build_graph(doc)
     cycle_rank = corank(g)  # refuses a disconnected graph before the faces are reduced
     partial = unicyclizer_columns(doc)
-    axioms = check_axioms(g, partial)
-    valid = all(ok for _, ok, _ in axioms)
+    try:  # a successful build proves all three axioms; only a failed one has them evaluated
+        a, axioms = new_unicyclization(g, partial, basis_tree=doc.basis_tree), AXIOMS_HOLD
+    except UnicyclizerAxiomError:
+        a, axioms = None, check_axioms(g, partial)
     payload = {
-        "valid": valid,
+        "valid": a is not None,
         "axioms": [{"axiom": n, "ok": ok, "detail": detail} for n, ok, detail in axioms],
         "corank": cycle_rank,
     }
-    if valid:
-        a = new_unicyclization(g, partial, basis_tree=doc.basis_tree)
-        payload["k"] = a.tree_count
-        payload["tau"] = a.torsion_order
-    return payload, 0 if valid else 1
+    if a is None:
+        return payload, 1
+    return payload | {"k": a.tree_count, "tau": a.torsion_order}, 0
 
 
 def _cmd_trees(doc, args) -> tuple[dict, int]:
@@ -151,14 +151,13 @@ def _cmd_winding(doc, args) -> tuple[dict, int]:
     from .documents import build_unicyclization
     from .winding import winding_report
 
-    a = build_unicyclization(doc)
     try:
         chain = tuple(int(part.strip()) for part in args.chain.split(","))
     except ValueError as exc:
         raise DocumentError(f"--chain: expected comma-separated integers: {exc}") from exc
     if len(chain) != len(doc.edges):
         raise DocumentError(f"--chain: expected {len(doc.edges)} coefficients, got {len(chain)}")
-    report = winding_report(a, chain)
+    report = winding_report(build_unicyclization(doc), chain)
     return {"value": _rational(report.value), "cycle": report.is_cycle}, 0
 
 
@@ -166,10 +165,9 @@ def _cmd_split(doc, args) -> tuple[dict, int]:
     from .documents import build_unicyclization
     from .winding import split_standard_cycle
 
-    a = build_unicyclization(doc)
     if not 0 <= args.edge < len(doc.edges):
         raise DocumentError(f"invalid edge id {args.edge} (graph has {len(doc.edges)} edges)")
-    with_edge, without_edge = split_standard_cycle(a, args.edge)
+    with_edge, without_edge = split_standard_cycle(build_unicyclization(doc), args.edge)
     if not args.raw_sign:
         # Flip both parts together so they still sum to the reported lambda.
         total = tuple(x + y for x, y in zip(with_edge, without_edge))

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionError
 from .graphs import Multigraph, _forest, are_cycles
-from .intlinalg import IntMatrix, _echelon, kernel_basis, mat_vec, rank, smith_diagonal, vstack
+from .intlinalg import IntMatrix, _kernel_vectors, kernel_basis, mat_vec, rank, smith_diagonal, vstack
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -107,9 +107,9 @@ def homology_group(x: ChainComplex, i: int) -> HomologyGroup:
     The cycles are a direct summand of the chains, because the boundaries
     one dimension down form a free group; so the torsion of H_i is the
     torsion of the cokernel of the (i+1)-st boundary, read off its Smith
-    diagonal. One echelon form of the i-th boundary often gives the cycles
-    a Z-basis: when its common pivot value d divides every entry, the
-    kernel vectors with a single free column set to 1 are integral, and a
+    diagonal. One elimination of the i-th boundary often gives the cycles
+    a Z-basis: when its pivot minor d divides every entry of its kernel
+    vectors, those with a single free column set to 1 are integral, and a
     cycle's coordinates are its entries at the free columns (this always
     holds for an incidence matrix, which is totally unimodular). The Smith
     form then runs on those rows of the (i+1)-st boundary only. Zero rows
@@ -117,11 +117,11 @@ def homology_group(x: ChainComplex, i: int) -> HomologyGroup:
     """
     x.check_dim(i)
     down = x.boundary(i)
-    rows, pivots, d = _echelon(down)
+    pivots, d, kernel = _kernel_vectors(down)
     pivot_set = set(pivots)
     free = [c for c in range(down.cols) if c not in pivot_set]
     up = x.boundary(i + 1)
-    if all(v % d == 0 for row in rows for v in row):
+    if all(e % d == 0 for _, v in kernel for e in v):
         up = up.select_rows(free)
     diag = smith_diagonal(up.select_rows([r for r in range(up.rows) if any(up.row(r))]))
     return HomologyGroup(

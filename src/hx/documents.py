@@ -45,8 +45,9 @@ MAX_INCIDENCE_ENTRIES = 1 << 22
 # or the faces. A valid unicyclizer has fewer columns than edges, so every one
 # within MAX_EDGES is admitted; the columns are counted before any is read.
 # At the limit, 2^18 four-entry face or unicyclizer columns with one-digit
-# entries (a 4.1 MB document), `validate` takes up to 4.5 s and 110 MB and
-# `homology --dim 1` 5.3 s and 120 MB (same host).
+# entries (a 4.1 MB document), `validate` takes up to 3.3 s and 103 MB and
+# `homology --dim 1` 4.6 s and 102 MB (same host): elimination keeps the rows
+# and back substitution only the pivot entries of the column it is reading.
 MAX_COLUMN_ENTRIES = 1 << 20
 # Largest size of a document in bytes, checked before it is decoded; the
 # worst case at MAX_COLUMN_ENTRIES fits. A JSON container decodes to a Python

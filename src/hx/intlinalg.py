@@ -1,12 +1,13 @@
 """Exact dense linear algebra over the integers and rationals.
 
 Everything here is exact: matrices hold arbitrary-precision Python ints.
-One fraction-free Gauss-Jordan routine, ``_echelon``, does all elimination
-in integers and gives rank, primitive kernel vectors and a signed maximal
-minor; its callers read exact solutions and lattice bases off the same
-echelon form. Determinants use a forward-only Bareiss loop. One extended-gcd
-step, ``_clear_row``, builds lattice bases and the Smith diagonal (the
-invariant factors), which is reduced modulo a maximal minor.
+One forward fraction-free elimination, ``_bareiss``, does all elimination
+in integers: determinants and rank are read off its triangular form, and
+``_kernel_vectors`` back-substitutes the pivot entries of the kernel
+vectors that exact solutions, kernel bases, lattice bases and the Smith
+modulus need. One extended-gcd step, ``_clear_row``, builds lattice bases
+and the Smith diagonal (the invariant factors), which is reduced modulo
+the gcd of the minors that elimination exposes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError
 
@@ -48,9 +49,7 @@ class IntMatrix:
         if self.rows < 0 or self.cols < 0:
             raise DimensionError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
-            raise DimensionError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+            raise DimensionError(f"expected {self.rows * self.cols} entries, got {len(self.entries)}")
         if not set(map(type, self.entries)) <= {int}:
             bad = next(e for e in self.entries if type(e) is not int)
             raise DimensionError(f"matrix entries must be ints, got {type(bad).__name__}")
@@ -85,9 +84,8 @@ class IntMatrix:
         if nrows == 0:
             return IntMatrix(0, 0 if cols is None else cols, ())
         ncols = len(rows[0])
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionError("ragged rows")
+        if any(len(r) != ncols for r in rows):
+            raise DimensionError("ragged rows")
         return IntMatrix(nrows, ncols, tuple(x for row in rows for x in row))
 
     @staticmethod
@@ -97,9 +95,8 @@ class IntMatrix:
         if ncols == 0:
             return IntMatrix(0 if rows is None else rows, 0, ())
         nrows = len(columns[0])
-        for c in columns:
-            if len(c) != nrows:
-                raise DimensionError("ragged columns")
+        if any(len(c) != nrows for c in columns):
+            raise DimensionError("ragged columns")
         return IntMatrix(nrows, ncols, tuple(chain.from_iterable(zip(*columns))))
 
     @staticmethod
@@ -123,15 +120,13 @@ class IntMatrix:
         return self.entries[j :: self.cols] if self.cols else ()
 
     def to_rows(self) -> list[list[int]]:
-        c, entries = self.cols, self.entries
-        return [list(entries[i * c : (i + 1) * c]) for i in range(self.rows)]
+        if not self.cols:
+            return [[] for _ in range(self.rows)]
+        # One iterator zipped with itself: each tuple takes the next cols entries.
+        return list(map(list, zip(*[iter(self.entries)] * self.cols)))
 
     def transpose(self) -> "IntMatrix":
-        return _matrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        return _matrix(self.cols, self.rows, tuple(chain.from_iterable(map(self.column, range(self.cols)))))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -207,84 +202,88 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination.
+def _bareiss(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
+    """Forward fraction-free elimination over Z (Bareiss, 1968), the one
+    elimination loop of the library; everything else is read off its form.
 
-    The 0x0 determinant is 1 (empty product). This forward-only loop is kept
-    apart from ``_echelon`` because ``det`` is hot in the oracle
-    ``verify.determinant_windings``, which takes one determinant per probe
-    cycle: on random +-9 matrices (Python 3.11, one x86-64 core) a
-    determinant read off ``_echelon`` took about three times as long, 20
-    against 7 us at 3x3 and 219 against 73 us at 9x9. ``tree_number`` and
-    the signs of cycle basis changes are determinants too.
-    """
-    if m.rows != m.cols:
-        raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - aik * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def _echelon(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination over Z (Bareiss, 1968).
-
-    Returns (rows, pivot columns, d). Each step replaces every other row by
-    (p * row - row[c] * pivot_row) // prev, where p is the new pivot and prev
-    the last one; every division is exact because each entry is a minor of
-    the input. A row swapped into pivot position is negated, so every row
-    operation has determinant 1 and d is the minor of the pivot rows and
-    columns with its sign: det(m) itself when m is square and invertible.
-    Every pivot entry ends equal to d, so the reduced row echelon form over
-    Q is rows / d; rows past the pivots are zero. d is 1 when there is no
-    pivot.
+    Returns (rows, pivot columns, d). Each step replaces every row below the
+    pivot row by (p * row - row[c] * pivot_row) // prev past the pivot
+    column c, where p is the new pivot and prev the last one; every division
+    is exact because each entry is a minor of the input. A row swapped into
+    pivot position is negated, so every row operation has determinant 1 and
+    the last pivot d is the minor of the pivot rows and columns with its
+    sign: det(m) itself when m is square and invertible. Each column ends
+    zero below its pivot, and rows past the pivots end zero; d is 1 when
+    there is no pivot.
     """
     rows = m.to_rows()
+    nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
     prev = 1
-    for c in range(m.cols):
-        r = len(pivots)
-        if r == m.rows:
-            break
-        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = [-x for x in rows[pivot_row]], rows[r]
+    r = 0
+    for c in range(ncols if nrows else 0):
         top = rows[r]
         p = top[c]
-        for i in range(m.rows):
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
-                elif p != prev:
-                    rows[i] = [p * x // prev for x in rows[i]]
+        if not p:
+            swap = next((i for i in range(r + 1, nrows) if rows[i][c]), None)
+            if swap is None:
+                continue
+            rows[swap], top = top, [-x for x in rows[swap]]
+            rows[r] = top
+            p = top[c]
         pivots.append(c)
+        r += 1
+        if r == nrows:
+            return rows, pivots, p
+        rest = range(c + 1, ncols)
+        for row in rows[r:]:
+            f = row[c]
+            for j in rest:
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[c] = 0
         prev = p
     return rows, pivots, prev
 
 
+def det(m: IntMatrix) -> int:
+    """Exact determinant: the last pivot of ``_bareiss``, or 0 when a column
+    has none. The 0x0 determinant is 1 (empty product)."""
+    if m.rows != m.cols:
+        raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
+    _, pivots, d = _bareiss(m)
+    return d if len(pivots) == m.rows else 0
+
+
 def rank(m: IntMatrix) -> int:
     """Rank over Q."""
-    return len(_echelon(m)[1])
+    return len(_bareiss(m)[1])
+
+
+def _kernel_vectors(m: IntMatrix) -> tuple[list[int], int, Iterator[tuple[int, list[int]]]]:
+    """The pivot columns and d of ``_bareiss``, and an iterator that yields,
+    for each free column j in ascending order, j and the r pivot entries, in
+    pivot order, of the kernel vector that is d at j and 0 at the other free
+    columns (d times a kernel basis vector over Q), computed as they are read.
+
+    Fraction-free back substitution (Nakos, Turner and Williams, ACM SIGSAM
+    Bull. 31, 1997) fills them from the last pivot row up; each pivot row is
+    zero left of its pivot, so x_p = -(row[j] d + sum over the later pivots q
+    of row[q] x_q) // row[p], O(r^2) per free column. By Cramer's rule each
+    entry is minus the pivot minor with its pivot column replaced by column
+    j, an integer, so every division is exact.
+    """
+    rows, pivots, d = _bareiss(m)
+    # Each pivot row, last first: its pivot, its entries at the later pivots (last first), the row.
+    back = [(row[p], [row[q] for q in pivots[:i:-1]], row) for i, (p, row) in enumerate(zip(pivots, rows))][::-1]
+
+    def substitute(j: int) -> tuple[int, list[int]]:
+        x: list[int] = []  # entries at the pivots already filled, last first
+        for p, later, row in back:
+            x.append(-(row[j] * d + sum(map(mul, later, x))) // p)
+        return j, x[::-1]
+
+    free = sorted(set(range(m.cols)) - set(pivots))
+    return pivots, d, map(substitute, free)
 
 
 def _primitive(vec: Sequence) -> tuple[int, ...]:
@@ -306,18 +305,9 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     One vector per free column of the echelon form, ordered by free column
     index; each is scaled primitive with its first nonzero entry positive.
     """
-    rows, pivots, d = _echelon(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[free] = d
-        for r_idx, p in enumerate(pivots):
-            v[p] = -rows[r_idx][free]
-        basis.append(_primitive(v))
-    return basis
+    pivots, d, kernel = _kernel_vectors(m)
+    vectors = ({**dict(zip(pivots, x)), j: d} for j, x in kernel)
+    return [_primitive([v.get(c, 0) for c in range(m.cols)]) for v in vectors]
 
 
 def gcd_of_vector(vec: Iterable[int]) -> int:
@@ -363,20 +353,26 @@ def _clear_row(columns: list[list[int]], i: int) -> None:
 def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """The invariant factors d_1 | d_2 | ... | d_r of the Smith normal form.
 
-    D, the absolute value of the pivot minor of one ``_echelon``, is a
-    nonzero r x r minor for r the rank, so d_1 ... d_r divides it. The
-    columns of m and of D I then span a lattice with invariant factors
-    (d_1, ..., d_r, D, ..., D), whose Smith form runs with every entry
-    reduced mod D (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987;
-    Cohen, *A Course in Computational Algebraic Number Theory*, 2.4). The
-    pivot is the last entry: ``_clear_row`` clears its row, and while the
-    pivot does not divide its column the matrix is transposed (same Smith
-    form) and cleared again, each time to a strictly smaller pivot. Each
-    pivot p gives the factor gcd(p, D), and pairwise gcd/lcm steps order
-    them into a chain, as diag(a, b) is equivalent to diag(gcd, lcm).
+    ``_kernel_vectors`` of the wider of m and m^T exposes r x r minors, d
+    and the kernel vectors' entries, whose gcd D is a multiple of d_1 ...
+    d_r (for m x (m - 1) of full rank, the gcd of all maximal minors). The
+    columns of m and of D I span a lattice with invariant factors (d_1, ...,
+    d_r, D, ..., D), whose Smith form runs with every entry reduced mod D
+    (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, *A Course
+    in Computational Algebraic Number Theory*, 2.4). The pivot is the last
+    entry: ``_clear_row`` clears its row, and while the pivot does not
+    divide its column the matrix is transposed (same Smith form) and cleared
+    again, each time to a strictly smaller pivot. Each pivot p gives the
+    factor gcd(p, D), and pairwise gcd/lcm steps order them into a chain, as
+    diag(a, b) is equivalent to diag(gcd, lcm).
     """
-    _, pivots, d = _echelon(m)
-    return _smith_modulo(m, len(pivots), abs(d))
+    pivots, d, kernel = _kernel_vectors(m.transpose() if m.rows > m.cols else m)
+    modulus = abs(d)
+    for _, x in kernel:
+        if modulus == 1:
+            break
+        modulus = math.gcd(modulus, *x)
+    return _smith_modulo(m, len(pivots), modulus)
 
 
 def _smith_modulo(m: IntMatrix, r: int, modulus: int) -> tuple[int, ...]:

@@ -68,7 +68,7 @@ def _random_cycle(rng: random.Random, a: Unicyclization) -> tuple[int, ...]:
 
 
 def determinant_windings(a: Unicyclization, cycles) -> list[int]:
-    """Winding numbers by their definition, o det[coords(z) | P], one determinant per cycle.
+    """Winding numbers by their definition, o det[coords(z) | P], one determinant per distinct cycle.
 
     P is the unicyclizer read off at the instance's non-tree edges and o its
     orientation. This is the oracle for the winding covector.
@@ -76,7 +76,9 @@ def determinant_windings(a: Unicyclization, cycles) -> list[int]:
     # Each determinant is taken of the transpose, whose rows are coords(z) and then P's columns.
     p_rows = tuple(a.partial[e, j] for j in range(a.partial.cols) for e in a.non_tree_edges)
     m = a.cycle_rank
-    return [a.orientation * det(_matrix(m, m, cycle_coordinates(a, z) + p_rows)) for z in cycles]
+    cycles = [tuple(z) for z in cycles]
+    windings = {z: a.orientation * det(_matrix(m, m, cycle_coordinates(a, z) + p_rows)) for z in set(cycles)}
+    return [windings[z] for z in cycles]
 
 
 def _winding_weighted_sum(a: Unicyclization, trees) -> tuple[int, ...]:

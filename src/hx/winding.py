@@ -35,8 +35,8 @@ from .intlinalg import (
     mat_vec,
     rank,
     _clear_row,
-    _echelon,
     _from_columns,
+    _kernel_vectors,
     _matrix,
     _primitive,
     _smith_modulo,
@@ -72,7 +72,7 @@ class Unicyclization:
     as ``covector``, c_i = w(b_i) with the orientation folded in: every
     winding is c . coords(z). Expanding det[e_i | P] along its first column,
     c_i is +-P's maximal minor without row i, so all of c is read off one
-    echelon form of P^T, and the gcd of c is ``torsion_order``.
+    elimination of P^T, and the gcd of c is ``torsion_order``.
 
     Instances are immutable and compared and hashed by these fields; the
     instance dict also holds the ``standard_cycle`` computed on first use.
@@ -158,15 +158,16 @@ def _weighted_cycle_sum(edge_count: int, cycles, values: Sequence[int], k: int) 
     b_i . B adj(G) f = (G adj(G) f)_i, and for the cycletree sum it is the
     identity C . lambda = f(C) k. The inner product is nondegenerate on
     cycles, so they are equal. One fraction-free elimination of [G | f]
-    solves G x = f; its final pivot is det G, which must be k, and then
-    k x = adj(G) f is its last column.
+    solves G x = f; its final pivot is det G, which must be k, and then its
+    one kernel vector is (-k x, k) with k x = adj(G) f.
     """
     m = len(cycles)
     augmented = [[dot(u, v) for v in cycles] + [f] for u, f in zip(cycles, values)]
-    rows, pivots, d = _echelon(_matrix(m, m + 1, tuple(x for row in augmented for x in row)))
+    pivots, d, kernel = _kernel_vectors(_matrix(m, m + 1, tuple(x for row in augmented for x in row)))
     if pivots != list(range(m)) or d != k:
         raise InternalError(f"Gram matrix of the {m} cycles does not have determinant {k}, the tree count")
-    return tuple(mat_vec(_from_columns(cycles, edge_count), [row[m] for row in rows]))
+    ((_, x),) = kernel
+    return tuple(mat_vec(_from_columns(cycles, edge_count), [-e for e in x]))
 
 
 class WindingReport(NamedTuple):
@@ -175,23 +176,25 @@ class WindingReport(NamedTuple):
     is_cycle: bool
 
 
+# What ``check_axioms`` reports for a valid unicyclizer, which every successful build has.
+AXIOMS_HOLD = (
+    (1, True, "columns are linearly independent"),
+    (2, True, "incidence times unicyclizer is zero"),
+    (3, True, "cycle-space quotient has rank 1"),
+)
+
+
 def check_axioms(g: Multigraph, partial: IntMatrix) -> list[tuple[int, bool, str]]:
     """Evaluate the three unicyclizer axioms, reporting each separately."""
-    cycle_rank = corank(g)
     if partial.rows != g.edge_count:
-        raise DimensionError(
-            f"unicyclizer has {partial.rows} rows, graph has {g.edge_count} edges"
-        )
-    results = []
+        raise DimensionError(f"unicyclizer has {partial.rows} rows, graph has {g.edge_count} edges")
     r = rank(partial)
-    ok1 = r == partial.cols
-    results.append((1, ok1, "columns are linearly independent" if ok1 else f"column rank {r} < {partial.cols}"))
-    ok2 = are_cycles(g, partial)
-    results.append((2, ok2, "incidence times unicyclizer is zero" if ok2 else "incidence times unicyclizer is nonzero"))
-    quotient = cycle_rank - r
-    ok3 = quotient == 1
-    results.append((3, ok3, f"cycle-space quotient has rank {quotient}"))
-    return results
+    quotient = corank(g) - r
+    return [
+        AXIOMS_HOLD[0] if r == partial.cols else (1, False, f"column rank {r} < {partial.cols}"),
+        AXIOMS_HOLD[1] if are_cycles(g, partial) else (2, False, "incidence times unicyclizer is nonzero"),
+        AXIOMS_HOLD[2] if quotient == 1 else (3, False, f"cycle-space quotient has rank {quotient}"),
+    ]
 
 
 def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unicyclization:
@@ -201,20 +204,17 @@ def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unic
     # m - 1 pivots of P^T, for P the coordinates, is axioms 1 and 3; check_axioms only names a failure.
     reading = None
     if partial.rows == g.edge_count and partial.cols == m - 1 and are_cycles(g, partial):
-        reading = _echelon(partial.select_rows(cycle_basis.non_tree_edges).transpose())
-    if reading is None or len(reading[1]) != m - 1:
+        reading = _kernel_vectors(partial.select_rows(cycle_basis.non_tree_edges).transpose())
+    if reading is None or len(reading[0]) != m - 1:
         for axiom, ok, detail in check_axioms(g, partial):
             if not ok:
                 raise UnicyclizerAxiomError(axiom, f"unicyclizer axiom ({axiom}) fails: {detail}")
         raise InternalError("unicyclizer passes check_axioms but its coordinates are rank deficient")
-    rows, pivots, d = reading
-    # c_i = det[e_i | P] = (-1)^i det(P^T without column i). With f the free column, the echelon
-    # form's signed pivot minor is d = det(P^T without column f), and Cramer's rule gives the others.
-    (f,) = set(range(m)) - set(pivots)
-    v = [0] * m
-    v[f] = d
-    for i, p in enumerate(pivots):
-        v[p] = -rows[i][f]
+    # c_i = det[e_i | P] = (-1)^i det(P^T without column i). With f the one free column, the signed
+    # pivot minor is d = det(P^T without column f), and Cramer's rule gives the others.
+    _, d, kernel = reading
+    ((f, v),) = kernel
+    v.insert(f, d)  # v held the entries at the pivot columns, every column but f
     sign = orientation * (-1) ** f
     return Unicyclization(
         graph=g,
@@ -243,21 +243,23 @@ def face_lattice_basis(faces: IntMatrix) -> IntMatrix:
 
     The greedy independent subset K, that is the pivot columns of the
     echelon form, when it generates every face over Z, so the presentation
-    is kept. Face j is K rows[:, j] / d, so K generates every face exactly
-    when the common pivot value d divides every entry of the echelon rows.
-    Otherwise the basis is K H / |d| for H the column echelon basis, with
-    positive pivots, of the lattice of the rows' columns; that lattice
-    contains d Z^r (the pivot columns are d e_i), so ``_clear_row`` builds
-    H row by row with every entry below the current row kept under |d|
-    (Domich, Kannan and Trotter, 1987). Either way the torsion matches the
-    homology of the complex with all the faces.
+    is kept. Face j is K x_j / d for -x_j the pivot entries of its vector
+    of ``_kernel_vectors`` (x_j = d e_i for pivot column i), so K generates
+    every face exactly when the pivot minor d divides every x_j. Otherwise
+    the basis is K H / |d| for H the column echelon basis, with positive
+    pivots, of the lattice of the x_j; that lattice contains d Z^r (the
+    pivot columns), so ``_clear_row`` builds H row by row with every entry
+    below the current row kept under |d| (Domich, Kannan and Trotter, 1987).
+    Either way the torsion matches the homology of the complex with all the
+    faces.
     """
-    rows, kept, d = _echelon(faces)
+    kept, d, kernel = _kernel_vectors(faces)
     kept_faces = _from_columns([faces.column(c) for c in kept], faces.rows)
-    if all(v % d == 0 for row in rows for v in row):
-        return kept_faces
     r, modulus = len(kept), abs(d)
-    columns = [[rows[i][j] % modulus for i in range(r)] for j in range(faces.cols) if j not in kept]
+    reduced = ([-e % modulus for e in x] for _, x in kernel)
+    columns = [column for column in reduced if any(column)]  # a zero column lies in d Z^r already
+    if not columns:
+        return kept_faces
     h_columns = []
     for i in range(r):
         columns.append([modulus * (t == i) for t in range(r)])
@@ -299,11 +301,11 @@ def from_cw(x: ChainComplex) -> Unicyclization:
         else:
             raise ValueError(f"column {j} is not an incidence column of a multigraph")
     g = Multigraph(d1.rows, tuple(edges))
-    faces = x.boundary(2)
-    h1_rank = corank(g) - rank(faces)
+    basis = face_lattice_basis(x.boundary(2))
+    h1_rank = corank(g) - basis.cols
     if h1_rank != 1:
         raise ValueError(f"first homology has rank {h1_rank}, expected 1")
-    return new_unicyclization(g, face_lattice_basis(faces))
+    return new_unicyclization(g, basis)
 
 
 def cycle_coordinates(a: Unicyclization, chain: Sequence[int]) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from types import GeneratorType
 
 import pytest
 
-from hx import cli, winding
+from hx import cli, documents, winding
 from hx.cli import main
 from hx.documents import MAX_COLUMN_ENTRIES, MAX_DOCUMENT_BYTES, MAX_EDGES, MAX_ENTRY_BITS, MAX_VERTICES, parse_document
 from hx.errors import DimensionError, InternalError
@@ -155,6 +155,78 @@ def test_validate_invalid_axiom(tmp_path, capsys):
     assert payload["axioms"][1]["ok"] is False
 
 
+VALIDATE_PINNED = [
+    (
+        THETA_DOC,
+        0,
+        '{"valid": true, "axioms": [{"axiom": 1, "ok": true, "detail": "columns are linearly independent"}, '
+        '{"axiom": 2, "ok": true, "detail": "incidence times unicyclizer is zero"}, '
+        '{"axiom": 3, "ok": true, "detail": "cycle-space quotient has rank 1"}], "corank": 2, "k": 3, "tau": 1}\n',
+    ),
+    (
+        '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[1,-1,0],[2,-2,0]]}',
+        1,
+        '{"valid": false, "axioms": [{"axiom": 1, "ok": false, "detail": "column rank 1 < 2"}, '
+        '{"axiom": 2, "ok": true, "detail": "incidence times unicyclizer is zero"}, '
+        '{"axiom": 3, "ok": true, "detail": "cycle-space quotient has rank 1"}], "corank": 2}\n',
+    ),
+    (
+        '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[1,0,0]]}',
+        1,
+        '{"valid": false, "axioms": [{"axiom": 1, "ok": true, "detail": "columns are linearly independent"}, '
+        '{"axiom": 2, "ok": false, "detail": "incidence times unicyclizer is nonzero"}, '
+        '{"axiom": 3, "ok": true, "detail": "cycle-space quotient has rank 1"}], "corank": 2}\n',
+    ),
+    (
+        '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[]}',
+        1,
+        '{"valid": false, "axioms": [{"axiom": 1, "ok": true, "detail": "columns are linearly independent"}, '
+        '{"axiom": 2, "ok": true, "detail": "incidence times unicyclizer is zero"}, '
+        '{"axiom": 3, "ok": false, "detail": "cycle-space quotient has rank 2"}], "corank": 2}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("document, code, stdout", VALIDATE_PINNED, ids=["valid", "axiom1", "axiom2", "axiom3"])
+def test_validate_output_is_pinned_and_evaluates_axioms_only_on_failure(tmp_path, capsys, monkeypatch, document, code, stdout):
+    # A valid document, then one failing each axiom: the build proves a valid
+    # unicyclizer, so check_axioms runs only to name a failure.
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    calls = []
+    evaluate = winding.check_axioms
+    monkeypatch.setattr(winding, "check_axioms", lambda g, partial: calls.append(g) or evaluate(g, partial))
+    assert main(["validate", str(path)]) == code
+    assert capsys.readouterr().out == stdout
+    assert bool(calls) == (code == 1)
+
+
+def test_validate_disconnected_graph_is_input_error(tmp_path, capsys):
+    path = tmp_path / "disc.json"
+    path.write_text('{"vertices":2,"edges":[]}')
+    code, payload, err = run(capsys, "validate", str(path))
+    assert code == 2 and payload is None
+    assert err == "hx: graph is not connected\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["winding", "--chain", "1,x,0"], "hx: --chain: expected comma-separated integers: invalid literal for int() with base 10: 'x'"),
+        (["winding", "--chain", "1,0"], "hx: --chain: expected 3 coefficients, got 2"),
+        (["split", "--edge", "3"], "hx: invalid edge id 3 (graph has 3 edges)"),
+    ],
+)
+def test_options_are_checked_before_the_build(theta_file, capsys, monkeypatch, argv, message):
+    def fail(doc):
+        raise RuntimeError("the instance was built before the options were checked")
+
+    monkeypatch.setattr(documents, "build_unicyclization", fail)
+    code, payload, err = run(capsys, argv[0], theta_file, *argv[1:])
+    assert code == 2 and payload is None
+    assert err == message + "\n"
+
+
 def test_verify_all(theta_file, capsys):
     code, payload, _ = run(capsys, "verify", theta_file, "--all")
     assert code == 0
@@ -281,6 +353,28 @@ def test_column_entry_limit_is_input_error(tmp_path, key):
         assert done.returncode == 2, done.stderr
         assert done.stdout == "" and "above the limit" in done.stderr
         assert time.perf_counter() - start < 10
+
+
+def test_many_face_columns_stay_in_bounded_memory(tmp_path):
+    # 2^14 face columns on 4 parallel edges, each (a, b - a, -b, 0) with a = b
+    # mod 2, an index-2 lattice: back substitution keeps the 2 pivot entries of
+    # each free column, not a vector as long as the row (2^28 entries in all),
+    # so both commands fit the 512 MB limit. The first two columns have pivot
+    # minor 4, which the third does not divide, so `validate` also takes the
+    # lattice-basis path. Outputs are pinned, so nothing runs unlimited here.
+    rng = random.Random(14)
+    pairs = [(2, 0), (0, 2), (1, 1)]
+    for _ in range(1 << 14):
+        a = rng.randint(-4, 4)
+        pairs.append((a, a + 2 * rng.randint(-2, 2)))
+    path = tmp_path / "faces.json"
+    path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]] * 4, "faces": [[a, b - a, -b, 0] for a, b in pairs]}))
+    done = run_limited("validate", str(path))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) | {"axioms": None} == {"valid": True, "axioms": None, "corank": 3, "k": 4, "tau": 2}
+    done = run_limited("homology", str(path), "--dim", "1")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == '{"dim": 1, "rank": 1, "torsion": [2]}\n'
 
 
 def test_document_byte_limit_is_input_error(tmp_path):

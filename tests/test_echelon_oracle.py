@@ -1,6 +1,7 @@
-"""The integer elimination kernel and what reads off it, against sympy and
-against the older per-column routes kept here as independent oracles; the
-Smith diagonal against sympy's full Smith form and invariant factors."""
+"""The integer elimination kernel and what reads off it, against sympy, a
+fraction-free Gauss-Jordan reference, and the older per-column routes kept
+here as independent oracles; the Smith diagonal against sympy's full Smith
+form and invariant factors."""
 
 import random
 
@@ -11,7 +12,8 @@ from sympy.matrices.normalforms import hermite_normal_form, invariant_factors, s
 
 from hx.intlinalg import (
     IntMatrix,
-    _echelon,
+    _bareiss,
+    _kernel_vectors,
     kernel_basis,
     mat_vec,
     rank,
@@ -50,6 +52,80 @@ def shapes(rng):
         yield rank_deficient(rng, rng.randint(1, 7), rng.randint(1, 7))
 
 
+def gauss_jordan(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination over Z (Bareiss, 1968), the
+    reference for the forward kernel and its back substitution.
+
+    Returns (rows, pivot columns, d). Each step replaces every other row by
+    (p * row - row[c] * pivot_row) // prev, and a row swapped into pivot
+    position is negated, so d is the signed pivot minor and rows / d is the
+    reduced row echelon form over Q.
+    """
+    rows = m.to_rows()
+    pivots: list[int] = []
+    prev = 1
+    for c in range(m.cols):
+        r = len(pivots)
+        if r == m.rows:
+            break
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = [-x for x in rows[pivot_row]], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i in range(m.rows):
+            if i != r:
+                f = rows[i][c]
+                if f:
+                    rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+                elif p != prev:
+                    rows[i] = [p * x // prev for x in rows[i]]
+        pivots.append(c)
+        prev = p
+    return rows, pivots, prev
+
+
+def kernel_matrices(rng):
+    """The shapes above again, and the same shapes with entries up to 2^55."""
+    yield from shapes(rng)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 4), rng.randint(5, 7)
+        yield random_matrix(rng, rows, cols, 2**55)
+        yield random_matrix(rng, cols, rows, 2**55)
+        yield random_matrix(rng, rows + 1, rows + 1, 2**55)
+        inner = rng.randint(0, rows)
+        yield random_matrix(rng, cols, inner, 2**27) @ random_matrix(rng, inner, cols, 2**27)
+
+
+def test_kernel_vectors_match_gauss_jordan():
+    rng = random.Random(1968)
+    deficient = 0
+    for m in kernel_matrices(rng):
+        rows, pivots, d = gauss_jordan(m)
+        r = len(pivots)
+        deficient += r < min(m.rows, m.cols)
+        triangular, kernel_pivots, kernel_d = _bareiss(m)
+        assert (kernel_pivots, kernel_d) == (pivots, d)
+        assert all(not any(row) for row in triangular[r:])
+        kernel_pivots, kernel_d, kernel = _kernel_vectors(m)
+        kernel = dict(kernel)
+        assert (kernel_pivots, kernel_d) == (pivots, d)
+        assert list(kernel) == [j for j in range(m.cols) if j not in pivots]
+        for j, x in kernel.items():
+            # Back substitution gives -d times column j of the reduced form at the pivots.
+            assert [-e for e in x] == [rows[i][j] for i in range(r)]
+            v = [d * (c == j) for c in range(m.cols)]
+            for p, e in zip(pivots, x):
+                v[p] = e
+            assert not any(mat_vec(m, v))
+        for i, p in enumerate(pivots):
+            assert [row[p] for row in rows] == [d * (t == i) for t in range(m.rows)]
+        assert all(not any(row) for row in rows[r:])
+    assert deficient > 50
+
+
 def to_sympy(m: IntMatrix) -> sympy.Matrix:
     return sympy.Matrix(m.rows, m.cols, list(m.entries))
 
@@ -80,7 +156,7 @@ def greedy_independent_columns(m: IntMatrix) -> IntMatrix:
 
 
 def pivot_columns(m: IntMatrix) -> IntMatrix:
-    return IntMatrix.from_columns([m.column(c) for c in _echelon(m)[1]], rows=m.rows)
+    return IntMatrix.from_columns([m.column(c) for c in _bareiss(m)[1]], rows=m.rows)
 
 
 def test_select_independent_columns_matches_greedy_rank_loop():
@@ -173,9 +249,11 @@ def sympy_full_form_diagonal(m: IntMatrix) -> tuple[int, ...]:
 
 
 def assert_smith_diagonal_matches(m: IntMatrix) -> None:
+    """Both orientations: the modulus comes from eliminating the wider of m and m^T."""
     diag = smith_diagonal(m)
     assert diag == sympy_full_form_diagonal(m)
     assert diag == sympy_smith_diagonal(m)
+    assert smith_diagonal(m.transpose()) == diag
 
 
 def test_smith_diagonal_matches_full_form_and_sympy():

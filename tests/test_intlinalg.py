@@ -7,7 +7,7 @@ import pytest
 from hx.errors import DimensionError
 from hx.intlinalg import (
     IntMatrix,
-    _echelon,
+    _bareiss,
     det,
     dot,
     gcd_of_vector,
@@ -68,6 +68,27 @@ def test_det_matches_permutation_oracle():
         n = rng.randint(0, 4)
         m = random_matrix(rng, n, n)
         assert det(m) == perm_det(m)
+
+
+def test_det_matches_permutation_oracle_on_singular_and_large_entries():
+    rng = random.Random(1968)
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        bound = rng.choice((1, 9, 2**55))
+        m = random_matrix(rng, n, n, bound)
+        if rng.random() < 0.3:
+            # A repeated row or a zero leading column: singular, or a forced row swap.
+            rows = m.to_rows()
+            if n > 1 and rng.random() < 0.5:
+                rows[-1] = rows[0]
+            else:
+                for row in rows[: n - 1]:
+                    row[0] = 0
+            m = IntMatrix.from_rows(rows)
+        singular += perm_det(m) == 0
+        assert det(m) == perm_det(m)
+    assert singular > 10
 
 
 def test_rank_examples():
@@ -143,7 +164,7 @@ def test_echelon_final_pivot_is_signed_determinant():
         if det(m) == 0:
             continue
         swapped += m[0, 0] == 0
-        rows, pivots, d = _echelon(m)
+        _, pivots, d = _bareiss(m)
         assert pivots == list(range(n))
         assert d == det(m) == perm_det(m)
     assert swapped > 50

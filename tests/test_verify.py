@@ -1,14 +1,18 @@
 import hashlib
+import random
 from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from hx import verify
 from hx.errors import UnicyclizerAxiomError
 from hx.graphs import Multigraph, contract, corank, delete, is_connected
-from hx.intlinalg import IntMatrix
-from hx.spanning import cycletrees
+from hx.intlinalg import IntMatrix, rank
+from hx.spanning import cycletrees, fundamental_basis, lexmin_spanning_tree
 from hx.verify import (
+    DEFAULT_SEED,
     _cycletree_count_or_zero,
+    _random_cycle,
     connected_multigraphs,
     exhaustive_family,
     verify_counts,
@@ -50,6 +54,52 @@ def test_inner_product_report_torsion_theta():
 def test_inner_product_cycle_graphs():
     for n in range(3, 7):
         assert verify_inner_product(cycle_instance(n)).overall
+
+
+def circulant_instance(n, seed):
+    """Edges (i, i+1), (i, i+2) mod n with the unicyclizer F M, for the fundamental
+    cycles F and a seeded +-2 matrix M of full column rank."""
+    edges = tuple((i, (i + step) % n) for i in range(n) for step in (1, 2))
+    g = Multigraph(n, edges)
+    cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
+    m = len(cycles)
+    rng = random.Random(seed)
+    combo = IntMatrix.zero(m, m - 1)
+    while rank(combo) < m - 1:
+        combo = IntMatrix(m, m - 1, tuple(rng.randint(-2, 2) for _ in range(m * (m - 1))))
+    return new_unicyclization(g, IntMatrix.from_columns(cycles, rows=len(edges)) @ combo)
+
+
+def inner_product_digest(instances):
+    h = hashlib.sha256()
+    for a in instances:
+        report = verify_inner_product(a)
+        h.update(repr((report.instance, report.checks)).encode())
+    return h.hexdigest()
+
+
+def test_inner_product_reports_are_pinned():
+    # Digests of the reports of the one-determinant-per-probe verifier: grouping
+    # the probes by cycle changes no check name, order, lhs or rhs.
+    family = [new_unicyclization(g, p) for g, p in exhaustive_family(4, 6, 2, per_graph=1, seed=2024)]
+    assert inner_product_digest(family) == "a6bb0618d455df349b743926f1289e6d4e545dc1137da4fcb7e7a46b8f7e888b"
+    assert inner_product_digest([circulant_instance(6, 12)]) == (
+        "1b49ef899b91cc9c13d36490e7dbeae5e1281fef9e34d875d28788efd5e4cc9d"
+    )
+
+
+def test_inner_product_takes_one_determinant_per_distinct_cycle(monkeypatch):
+    a = circulant_instance(6, 12)
+    rng = random.Random(DEFAULT_SEED)
+    probes = [ct.cycle for ct in cycletrees(a.graph)] + list(a.basis) + [_random_cycle(rng, a) for _ in range(50)]
+    calls = []
+    determinant = verify.det
+    monkeypatch.setattr(verify, "det", lambda m: calls.append(m) or determinant(m))
+    report = verify_inner_product(a)
+    assert report.overall and len(report.checks) == len(probes)
+    assert len(calls) == len(set(probes)) < len(probes)
+    # Cycles may be any sequences, lists included, as before the grouping.
+    assert verify.determinant_windings(a, [list(z) for z in probes]) == verify.determinant_windings(a, probes)
 
 
 def test_harmonicity_reports():
