@@ -27,8 +27,13 @@ from .graphs import (
 from .intlinalg import IntMatrix, det
 
 DEFAULT_ENUMERATION_CAP = 16
-# Entries kept by each per-graph cache. A pass over the acceptance family fills them to at most 663.
-GRAPH_CACHE_SIZE = 4096
+# Graphs kept by `tree_number` and `verify._cycletree_count_or_zero`, least
+# recently used first out: on a pass over the acceptance family, 64 keep 95%
+# of the tree-count hits and 89% of the cycletree-count hits of an unbounded
+# cache. The enumeration caches keep only the graph in hand, since one
+# graph's cycletrees can take megabytes and every reuse is a repeat call on
+# that graph, as in `verify --all` or `cycletrees` and its windings.
+GRAPH_CACHE_SIZE = 64
 
 
 class Cycletree(NamedTuple):
@@ -59,7 +64,7 @@ def check_enumeration_cap(g: Multigraph, cap: int | None) -> None:
         )
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def _spanning_trees_cached(g: Multigraph) -> tuple[tuple[int, ...], ...]:
     non_loops = [e for e in range(g.edge_count) if not g.is_loop(e)]
     return tuple(
@@ -133,13 +138,16 @@ def _walk_unique_cycle(g: Multigraph, edge_ids) -> tuple[int, ...]:
     return tuple(first * c for c in coeffs)
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def _cycletrees_cached(g: Multigraph) -> tuple[Cycletree, ...]:
-    return tuple(
-        Cycletree(combo, _walk_unique_cycle(g, combo))
-        for combo in combinations(range(g.edge_count), g.vertex_count)
-        if spanning_subgraph_connected(g, combo)
-    )
+    """The cycletrees, whose cycles are shared: one tuple per distinct cycle."""
+    cycles: dict[tuple[int, ...], tuple[int, ...]] = {}
+    found = []
+    for combo in combinations(range(g.edge_count), g.vertex_count):
+        if spanning_subgraph_connected(g, combo):
+            cycle = _walk_unique_cycle(g, combo)
+            found.append(Cycletree(combo, cycles.setdefault(cycle, cycle)))
+    return tuple(found)
 
 
 def cycletrees(g: Multigraph, cap: int | None = None) -> list[Cycletree]:

@@ -247,7 +247,7 @@ def _relabelings(n: int, pair_types: list[tuple[int, int]]) -> list[tuple[int, .
     ]
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def connected_multigraphs(max_vertices: int, max_edges: int) -> tuple[Multigraph, ...]:
     """Connected multigraphs up to the given size, one per relabeling class.
 

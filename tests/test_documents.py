@@ -104,6 +104,28 @@ def test_parse_rejects_non_integer_entries():
         parse_document('{"vertices":2,"edges":[[0,1],[0,1]],"unicyclizer":[[1,0.5]]}')
 
 
+@pytest.mark.parametrize(
+    "column, message",
+    [
+        ([1, 1 << 70, True, "x"], "unicyclizer[1][1]: 71-bit entry is above the limit of 64 bits"),
+        ([1, True, 1 << 70, 0], "unicyclizer[1][1]: expected an integer, got True"),
+        ([1, 0, 0, 2.0], "unicyclizer[1][3]: expected an integer, got 2.0"),
+        ([-(1 << 64), None, 0, 0], "unicyclizer[1][0]: 65-bit entry is above the limit of 64 bits"),
+    ],
+)
+def test_parse_names_the_first_bad_entry(column, message):
+    # Columns are checked in bulk; a failing column is read again entry by entry to name the first bad one.
+    text = json.dumps({"vertices": 2, "edges": [[0, 1]] * 4, "unicyclizer": [[1, -1, 0, 0], column]})
+    with pytest.raises(DocumentError) as info:
+        parse_document(text)
+    assert str(info.value) == message
+
+
+def test_parse_accepts_empty_columns():
+    doc = parse_document('{"vertices":1,"edges":[],"unicyclizer":[[],[]]}')
+    assert (doc.unicyclizer.rows, doc.unicyclizer.cols) == (0, 2)
+
+
 def test_basis_tree_validation():
     doc = parse_document('{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[1,-1,0]],"basis_tree":[1]}')
     assert doc.basis_tree == (1,)

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -207,7 +209,11 @@ def test_cycletree_bijections_family():
 
 
 def test_graph_caches_are_bounded():
-    caches = (_spanning_trees_cached, _cycletrees_cached, tree_number, connected_multigraphs, _cycletree_count_or_zero)
+    # The enumeration caches keep the graph in hand only, since one graph's
+    # enumeration can take megabytes; the caches of a number per graph keep
+    # the GRAPH_CACHE_SIZE graphs used last.
+    enumerations = (_spanning_trees_cached, _cycletrees_cached, connected_multigraphs)
+    scalars = (tree_number, _cycletree_count_or_zero)
     kinds = ((0, 1), (1, 0), (0, 0), (1, 1))
     for i in range(GRAPH_CACHE_SIZE + 8):
         # A distinct cheap graph per i: an edge 0-1 plus seven edges chosen by the base-4 digits of i.
@@ -217,8 +223,48 @@ def test_graph_caches_are_bounded():
         tree_number(g)
         connected_multigraphs(0, i)
         _cycletree_count_or_zero(g)
-        assert all(cache.cache_info().currsize <= GRAPH_CACHE_SIZE for cache in caches)
-    assert all(cache.cache_info().currsize == GRAPH_CACHE_SIZE for cache in caches)
+        assert all(cache.cache_info().currsize == 1 for cache in enumerations)
+        assert all(cache.cache_info().currsize <= GRAPH_CACHE_SIZE for cache in scalars)
+    assert all(cache.cache_info().currsize == GRAPH_CACHE_SIZE for cache in scalars)
+    # A repeat call on the graph in hand is answered from the cache.
+    hits = _cycletrees_cached.cache_info().hits
+    assert cycletrees(g) == cycletrees(g)
+    assert _cycletrees_cached.cache_info().hits == hits + 2
+
+
+def test_long_lived_loop_retains_one_graphs_enumeration():
+    # 100 distinct 12-edge graphs of one shape, so every enumeration is the same
+    # size: the edges of the triangle with each side taken four times, in 100 orders.
+    rng = random.Random(12)
+    edges = [(0, 1), (1, 2), (0, 2)] * 4
+    graphs = set()
+    while len(graphs) < 100:
+        rng.shuffle(edges)
+        graphs.add(Multigraph(3, tuple(edges)))
+    graphs = sorted(graphs, key=lambda g: g.edges)
+    _spanning_trees_cached.cache_clear()
+    _cycletrees_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for i, g in enumerate(graphs):
+            cycletrees(g)
+            spanning_trees(g)
+            tree_number(g)
+            if i == 0:
+                one_graph = tracemalloc.get_traced_memory()[0] - start
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * one_graph
+
+
+def test_cycletrees_share_their_cycles():
+    n = 8
+    g = Multigraph(n, tuple(edge for i in range(n) for edge in ((i, (i + 1) % n), (i, (i + 2) % n))))
+    cts = cycletrees(g)
+    assert len({id(ct.cycle) for ct in cts}) == len({ct.cycle for ct in cts}) < len(cts)
 
 
 def tree_path(g, tree, start, goal):
