@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (or all checks passed), 1 verification failure,
 2 input error (bad usage, unreadable file, malformed document, invalid
-instance), 3 internal error (a failed invariant or an unexpected
-exception). Rationals are emitted as exact strings in lowest terms.
+instance) or a closed stdout, 3 internal error (a failed invariant or an
+unexpected exception). Rationals are emitted as exact strings in lowest terms.
 
 The long lists, cycletrees, trees and verification checks, are written
 one record at a time (see ``_write``), so their output is never held
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from types import GeneratorType
 
@@ -105,14 +106,14 @@ def _cmd_trees(doc, args) -> tuple[dict, int]:
 
 
 def _cmd_cycletrees(doc, args) -> tuple[dict, int]:
-    from .documents import build_graph, build_unicyclization
-    from .graphs import corank, require_connected
+    from .documents import build_graph, build_unicyclization, unicyclizer_columns
+    from .graphs import corank
     from .spanning import check_enumeration_cap, cycletrees
     from .winding import cycletree_windings
 
     g = build_graph(doc)
-    require_connected(g)
-    if corank(g) == 0 and doc.unicyclizer is None and doc.faces is None:
+    # A tree has no cycletrees: with the empty unicyclizer, however the document writes it, the list is empty.
+    if corank(g) == 0 and unicyclizer_columns(doc).cols == 0:
         return {"count": 0, "cycletrees": []}, 0
     check_enumeration_cap(g, args.cap)
     a = build_unicyclization(doc)
@@ -232,7 +233,14 @@ def main(argv=None) -> int:
 
         doc = read_document(args.file)
         payload, code = _COMMANDS[args.command](doc, args)
+        _write(payload)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
     except (DocumentError, UnicyclizerAxiomError, NotConnectedError, EnumerationCapError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # Python flushes stdout again at exit: send what is left to devnull, as its docs on SIGPIPE advise.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"hx: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # InternalError or a bug: neither the input nor a failed check
@@ -241,7 +249,6 @@ def main(argv=None) -> int:
         print(f"hx: internal error: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 3
-    _write(payload)
     return code
 
 

@@ -10,52 +10,29 @@ edges; the dense incidence matrix is built only where a matrix is wanted.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionError, NotConnectedError
 from .intlinalg import IntMatrix
 
 
-_setattr = object.__setattr__
+class Multigraph(namedtuple("Multigraph", ("vertex_count", "edges"))):
+    """Immutable multigraph, the named tuple (vertex_count, edges), compared and
+    hashed as that tuple: the per-graph caches of ``spanning`` are keyed by it."""
 
-
-class Multigraph:
-    """Immutable multigraph, compared and hashed by value: the per-graph
-    caches of ``spanning`` are keyed by it."""
-
-    __slots__ = ("vertex_count", "edges")
+    __slots__ = ()
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
-    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...]):
+    def __new__(cls, vertex_count: int, edges: tuple[tuple[int, int], ...]):
         if vertex_count < 1:
             raise ValueError("a multigraph needs at least one vertex")
         for idx, (t, h) in enumerate(edges):
             if not (0 <= t < vertex_count and 0 <= h < vertex_count):
                 raise ValueError(f"edge {idx} = ({t}, {h}) has endpoints outside 0..{vertex_count - 1}")
-        _setattr(self, "vertex_count", vertex_count)
-        _setattr(self, "edges", edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Multigraph")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable Multigraph")
-
-    def __eq__(self, other):
-        if other.__class__ is not Multigraph:
-            return NotImplemented
-        return self.vertex_count == other.vertex_count and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.edges))
-
-    def __repr__(self):
-        return f"Multigraph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
-
-    def __reduce__(self):
-        return Multigraph, (self.vertex_count, self.edges)
+        return tuple.__new__(cls, (vertex_count, edges))
 
     @property
     def edge_count(self) -> int:
@@ -168,7 +145,8 @@ def require_connected(g: Multigraph) -> None:
 
 def spanning_subgraph_connected(g: Multigraph, edge_ids) -> bool:
     """True when the subgraph on the given edges reaches every vertex."""
-    return _spans(g.vertex_count, [g.edges[e] for e in edge_ids])
+    edges = g.edges
+    return _spans(g.vertex_count, [edges[e] for e in edge_ids])
 
 
 def delete(g: Multigraph, edge: int) -> tuple[Multigraph, EdgeRelabeling]:

@@ -13,66 +13,47 @@ the gcd of the minors that elimination exposes.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import chain
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError
 
-_new = object.__new__
-_setattr = object.__setattr__
+_tuple_new = tuple.__new__
 
 
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", ("rows", "cols", "entries"))):
     """Immutable dense integer matrix, entries stored row-major.
 
     Zero-row and zero-column matrices are legal values; the 0x0 matrix acts
-    as the empty product (determinant 1). Matrices are compared and hashed
-    by value, and are used as cache keys and set members.
+    as the empty product (determinant 1). The named tuple (rows, cols,
+    entries) is compared and hashed as that tuple, for cache keys and set
+    members; a copy or an unpickled matrix is checked again by ``__new__``.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ()
 
     rows: int
     cols: int
     entries: tuple[int, ...]
 
-    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
-        _setattr(self, "rows", rows)
-        _setattr(self, "cols", cols)
-        _setattr(self, "entries", entries)
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]):
+        self = _tuple_new(cls, (rows, cols, entries))
         self.__post_init__()
+        return self
 
     def __post_init__(self):
         """The entry check of every public construction; results the library
         derives from checked matrices are built by ``_matrix`` without it."""
-        if self.rows < 0 or self.cols < 0:
+        rows, cols, entries = self
+        if rows < 0 or cols < 0:
             raise DimensionError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError(f"expected {self.rows * self.cols} entries, got {len(self.entries)}")
-        if not set(map(type, self.entries)) <= {int}:
-            bad = next(e for e in self.entries if type(e) is not int)
+        if len(entries) != rows * cols:
+            raise DimensionError(f"expected {rows * cols} entries, got {len(entries)}")
+        if not set(map(type, entries)) <= {int}:
+            bad = next(e for e in entries if type(e) is not int)
             raise DimensionError(f"matrix entries must be ints, got {type(bad).__name__}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable IntMatrix")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable IntMatrix")
-
-    def __eq__(self, other):
-        if other.__class__ is not IntMatrix:
-            return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
-
-    def __reduce__(self):
-        return IntMatrix, (self.rows, self.cols, self.entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -132,16 +113,17 @@ class IntMatrix:
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
+        left, right = self.entries, other.entries
         out = [0] * (n * m)
         for i in range(n):
             base = i * k
             for t in range(k):
-                a = self.entries[base + t]
+                a = left[base + t]
                 if a:
                     ob = t * m
                     rbase = i * m
                     for j in range(m):
-                        out[rbase + j] += a * other.entries[ob + j]
+                        out[rbase + j] += a * right[ob + j]
         return _matrix(n, m, tuple(out))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -165,11 +147,7 @@ def _matrix(rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
     """An ``IntMatrix`` built without ``__post_init__``'s check, for results the
     library computes from matrices already checked, whose shape and int
     entries hold by construction."""
-    m = _new(IntMatrix)
-    _setattr(m, "rows", rows)
-    _setattr(m, "cols", cols)
-    _setattr(m, "entries", entries)
-    return m
+    return _tuple_new(IntMatrix, (rows, cols, entries))
 
 
 def _from_columns(columns: Sequence[Sequence[int]], rows: int) -> IntMatrix:

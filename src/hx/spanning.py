@@ -44,14 +44,12 @@ class Cycletree(NamedTuple):
 
 
 class CycleBasis(NamedTuple):
-    """Fundamental cycle basis attached to a spanning tree.
+    """The fundamental cycles of a spanning tree; the caller keeps the graph and tree.
 
     ``cycles[i]`` is the unique cycle through non-tree edge
     ``non_tree_edges[i]``, oriented with coefficient +1 on that edge.
     """
 
-    graph: Multigraph
-    tree: frozenset[int]
     non_tree_edges: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
 
@@ -210,4 +208,4 @@ def fundamental_basis(g: Multigraph, tree) -> CycleBasis:
         raise ValueError("edge set is not a spanning tree")
     non_tree = tuple(e for e in range(g.edge_count) if e not in tree)
     cycles = tuple(tuple(_tree_cycle(g, up, e)) for e in non_tree)
-    return CycleBasis(graph=g, tree=tree, non_tree_edges=non_tree, cycles=cycles)
+    return CycleBasis(non_tree_edges=non_tree, cycles=cycles)

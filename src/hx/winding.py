@@ -13,6 +13,7 @@ windings and the enumerated sums are kept in ``verify`` as the oracles.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -56,10 +57,9 @@ if TYPE_CHECKING:
 
     from .complexes import ChainComplex
 
-_FIELDS = ("graph", "partial", "basis", "non_tree_edges", "orientation", "tree_count", "covector", "torsion_order")
-
-
-class Unicyclization:
+class Unicyclization(
+    namedtuple("Unicyclization", "graph partial basis non_tree_edges orientation tree_count covector torsion_order")
+):
     """A validated (graph, unicyclizer) pair with its cached derived data.
 
     ``basis`` is the fundamental basis of a spanning tree of ``graph``, so
@@ -74,8 +74,8 @@ class Unicyclization:
     c_i is +-P's maximal minor without row i, so all of c is read off one
     elimination of P^T, and the gcd of c is ``torsion_order``.
 
-    Instances are immutable and compared and hashed by these fields; the
-    instance dict also holds the ``standard_cycle`` computed on first use.
+    An instance is the named tuple of these fields, compared and hashed as that
+    tuple; its instance dict holds only the ``standard_cycle`` computed on first use.
     """
 
     graph: Multigraph
@@ -87,49 +87,8 @@ class Unicyclization:
     covector: tuple[int, ...]
     torsion_order: int
 
-    def __init__(
-        self,
-        graph: Multigraph,
-        partial: IntMatrix,
-        basis: tuple[tuple[int, ...], ...],
-        non_tree_edges: tuple[int, ...],
-        orientation: int,
-        tree_count: int,
-        covector: tuple[int, ...],
-        torsion_order: int,
-    ):
-        self.__dict__.update(
-            graph=graph,
-            partial=partial,
-            basis=basis,
-            non_tree_edges=non_tree_edges,
-            orientation=orientation,
-            tree_count=tree_count,
-            covector=covector,
-            torsion_order=torsion_order,
-        )
-
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Unicyclization")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable Unicyclization")
-
-    def _values(self) -> tuple:
-        d = self.__dict__
-        return tuple(d[name] for name in _FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not Unicyclization:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_FIELDS, self._values()))
-        return f"Unicyclization({fields})"
+        raise AttributeError(f"cannot assign to attribute {name!r} of an immutable Unicyclization")
 
     @property
     def cycle_rank(self) -> int:

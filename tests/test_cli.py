@@ -102,11 +102,13 @@ def test_cycletrees(theta_file, capsys):
 
 
 def test_cycletrees_on_tree_graph(tmp_path, capsys):
+    # No key, an empty unicyclizer and empty faces are the same empty unicyclizer.
     path = tmp_path / "tree.json"
-    path.write_text('{"vertices":3,"edges":[[0,1],[1,2]]}')
-    code, payload, _ = run(capsys, "cycletrees", str(path))
-    assert code == 0
-    assert payload == {"count": 0, "cycletrees": []}
+    for empty in ("", ',"unicyclizer":[]', ',"faces":[]'):
+        path.write_text('{"vertices":3,"edges":[[0,1],[1,2]]%s}' % empty)
+        code, payload, err = run(capsys, "cycletrees", str(path))
+        assert code == 0, (empty, err)
+        assert payload == {"count": 0, "cycletrees": []}
 
 
 def test_homology(tmp_path, capsys):
@@ -728,6 +730,9 @@ class RecordedStdout:
         self.writes.append(text)
         return len(text)
 
+    def flush(self) -> None:
+        pass
+
 
 @pytest.mark.parametrize(
     "options",
@@ -788,3 +793,32 @@ def test_enumeration_output_on_a_16_edge_circulant_stays_in_bounded_memory(tmp_p
     for options in (["cycletrees"], ["verify", "--all"]):
         growth = peak_rss_mb(options[0], str(big), *options[1:]) - peak_rss_mb(options[0], str(small), *options[1:])
         assert growth < 10, (options, growth)
+
+
+def test_closed_stdout_is_reported_without_a_traceback(tmp_path):
+    # stdout buffered, as it is when Python writes to a pipe by default.
+    env = {k: v for k, v in hx_env().items() if k != "PYTHONUNBUFFERED"}
+    edges, columns = circulant_unicyclizer(8, 1)
+    big, err = tmp_path / "circulant-16.json", tmp_path / "stderr.txt"
+    big.write_text(json.dumps({"vertices": 8, "edges": edges, "unicyclizer": columns}))
+    # A reader that stops after a few bytes of the 7,997 cycletrees, as `| head -c 100` does.
+    with open(err, "w") as stderr, subprocess.Popen(
+        [sys.executable, "-m", "hx.cli", "cycletrees", str(big)], stdout=subprocess.PIPE, stderr=stderr, env=env
+    ) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        assert child.wait(timeout=60) == 2
+    assert err.read_text() == "hx: [Errno 32] Broken pipe\n"
+    # A reader that is gone before the first byte: the short output sits in the buffer until it is flushed.
+    small = tmp_path / "theta.json"
+    small.write_text(THETA_DOC)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hx.cli", "lambda", str(small)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "hx: [Errno 32] Broken pipe\n")

@@ -5,8 +5,9 @@ import pickle
 
 import pytest
 
+from hx.errors import DimensionError
 from hx.graphs import Multigraph
-from hx.intlinalg import IntMatrix
+from hx.intlinalg import IntMatrix, _from_columns, _matrix
 from hx.winding import new_unicyclization, standard_harmonic_cycle
 
 THETA = ((0, 1), (0, 1), (0, 1))
@@ -36,6 +37,42 @@ def test_records_are_immutable_values(make, field):
     for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
         assert twin == a and hash(twin) == hash(a) and type(twin) is type(a)
     assert repr(a).startswith(type(a).__name__ + "(")
+
+
+def test_unicyclization_refuses_new_attributes():
+    # The only record with an instance dict, which holds just the cached standard cycle.
+    a = theta_unicyclization()
+    with pytest.raises(AttributeError):
+        a.scratch = 1
+    assert "scratch" not in vars(a)
+
+
+def test_every_public_matrix_construction_checks_its_entries_once(monkeypatch):
+    # bench/spans.py counts checked constructions by patching __post_init__.
+    calls = []
+    check = IntMatrix.__post_init__
+    monkeypatch.setattr(IntMatrix, "__post_init__", lambda self: calls.append(self) or check(self))
+    m = IntMatrix(2, 2, (1, 2, 3, 4))
+    checked = [
+        lambda: IntMatrix(2, 2, (1, 2, 3, 4)),
+        lambda: IntMatrix.from_rows([[1, 2], [3, 4]]),
+        lambda: IntMatrix.from_columns([[1, 3], [2, 4]]),
+        lambda: IntMatrix.zero(2, 3),
+        lambda: IntMatrix.identity(3),
+        lambda: pickle.loads(pickle.dumps(m)),
+        lambda: copy.copy(m),
+        lambda: copy.deepcopy(m),
+    ]
+    for make in checked:
+        calls.clear()
+        result = make()
+        assert len(calls) == 1 and calls[0] is result
+    calls.clear()
+    assert _matrix(2, 2, (1, 2, 3, 4)) == m and _from_columns([[1, 3], [2, 4]], 2) == m
+    assert calls == []
+    # A copy is checked again, so an unchecked bad matrix cannot be copied.
+    with pytest.raises(DimensionError):
+        copy.copy(_matrix(1, 1, (0.5,)))
 
 
 def test_records_differ_when_a_field_differs():
