@@ -30,9 +30,9 @@ if TYPE_CHECKING:
 # 57 MB (Python 3.11, one x86-64 core).
 MAX_VERTICES = 1 << 20
 # Largest edge count a document may declare. On the cycle graph with 2^10
-# edges, `validate` and `trees` each take about 50 s, nearly all of it the
-# tree count's determinant, and `homology --dim 1` 0.2 s; none needs more
-# than 50 MB (same host). `homology --dim 1` on the circulant with 200 edges
+# edges, `validate`, `lambda` and `homology --dim 1` take 0.09-0.14 s and
+# 16 MB, and `trees` 30-36 s and 39 MB, nearly all of it the Laplacian
+# determinant (same host). `homology --dim 1` on the circulant with 200 edges
 # (i, i+1), (i, i+2) mod 100 and +-9 coordinates takes 1.7 s and 20 MB.
 MAX_EDGES = 1 << 10
 # Largest product of the vertex and edge counts, the entry count of the dense

@@ -34,6 +34,8 @@ class Multigraph(namedtuple("Multigraph", ("vertex_count", "edges"))):
                 raise ValueError(f"edge {idx} = ({t}, {h}) has endpoints outside 0..{vertex_count - 1}")
         return tuple.__new__(cls, (vertex_count, edges))
 
+    __reduce__ = IntMatrix.__reduce__  # unpickled through __new__ at every protocol, so checked
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)

@@ -43,6 +43,9 @@ class IntMatrix(namedtuple("IntMatrix", ("rows", "cols", "entries"))):
         self.__post_init__()
         return self
 
+    def __reduce__(self):  # without it, pickle protocols 0 and 1 rebuild the tuple and skip __new__
+        return type(self), tuple(self)
+
     def __post_init__(self):
         """The entry check of every public construction; results the library
         derives from checked matrices are built by ``_matrix`` without it."""

@@ -28,7 +28,7 @@ from .intlinalg import IntMatrix, det
 
 DEFAULT_ENUMERATION_CAP = 16
 # Graphs kept by `tree_number` and `verify._cycletree_count_or_zero`, least
-# recently used first out: on a pass over the acceptance family, 64 keep 95%
+# recently used first out: on one family-sweep pass (seed 1), 64 keep 90%
 # of the tree-count hits and 89% of the cycletree-count hits of an unbounded
 # cache. The enumeration caches keep only the graph in hand, since one
 # graph's cycletrees can take megabytes and every reuse is a repeat call on

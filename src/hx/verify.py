@@ -20,7 +20,6 @@ from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterator, NamedTuple
 
 from .complexes import energy, harmonic_basis
-from .errors import NotConnectedError
 from .graphs import Multigraph, contract, corank, delete, is_connected, spanning_subgraph_connected
 from .intlinalg import IntMatrix, _from_columns, _matrix, det, dot, mat_vec, rank
 from .spanning import GRAPH_CACHE_SIZE, cycletrees, fundamental_basis, lexmin_spanning_tree, spanning_trees, tree_number
@@ -112,15 +111,15 @@ def verify_inner_product(
     """Check cycle . lambda = winding(cycle) * tree count, over many cycles.
 
     Covers every cycletree cycle, every basis cycle, and seeded random
-    integer combinations of the basis. Windings are determinants, so the
-    probes check the closed-form lambda independently of it.
+    integer combinations of the basis. Windings are determinants and k is
+    the Laplacian's, so the probes check lambda and, through it, det G = k.
     """
     rng = random.Random(seed)
     probes = [(f"cycletree[{i}]", ct.cycle) for i, ct in enumerate(cycletrees(a.graph, cap))]
     probes += [(f"basis[{i}]", z) for i, z in enumerate(a.basis)]
     probes += [(f"random[{t}]", _random_cycle(rng, a)) for t in range(trials)]
     lam = standard_harmonic_cycle(a)
-    k = a.tree_count
+    k = tree_number(a.graph)
     checks = []
     for (name, cycle), w in zip(probes, determinant_windings(a, [z for _, z in probes])):
         lhs, rhs = dot(cycle, lam), w * k
@@ -152,13 +151,6 @@ def verify_harmonicity(a: Unicyclization) -> VerificationReport:
     return VerificationReport(describe_instance(a), checks)
 
 
-def _tree_count_or_zero(g: Multigraph) -> int:
-    try:
-        return tree_number(g)
-    except NotConnectedError:
-        return 0
-
-
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _cycletree_count_or_zero(g: Multigraph) -> int:
     """Number of cycletrees, the connected V-edge subsets, counted without walking their cycles."""
@@ -178,8 +170,8 @@ def verify_counts(g: Multigraph, cap: int | None = None) -> VerificationReport:
     for edge in range(g.edge_count):
         deleted, _ = delete(g, edge)
         contracted, _ = contract(g, edge)
-        k_del = _tree_count_or_zero(deleted)
-        k_con = _tree_count_or_zero(contracted)
+        k_del = tree_number(deleted) if is_connected(deleted) else 0
+        k_con = tree_number(contracted)  # contracting an edge keeps the graph connected
         through = sum(1 for y in all_cycletrees if edge in y.edge_ids)
         u_del = _cycletree_count_or_zero(deleted)
         if g.is_loop(edge):

@@ -14,7 +14,6 @@ windings and the enumerated sums are kept in ``verify`` as the oracles.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionError, InternalError, NotConnectedError, UnicyclizerAxiomError
@@ -58,9 +57,12 @@ if TYPE_CHECKING:
     from .complexes import ChainComplex
 
 class Unicyclization(
-    namedtuple("Unicyclization", "graph partial basis non_tree_edges orientation tree_count covector torsion_order")
+    namedtuple(
+        "Unicyclization",
+        "graph partial basis non_tree_edges orientation tree_count covector torsion_order standard_cycle",
+    )
 ):
-    """A validated (graph, unicyclizer) pair with its cached derived data.
+    """A validated (graph, unicyclizer) pair with its derived data.
 
     ``basis`` is the fundamental basis of a spanning tree of ``graph``, so
     the coordinates of a cycle are its coefficients at ``non_tree_edges``.
@@ -72,11 +74,14 @@ class Unicyclization(
     as ``covector``, c_i = w(b_i) with the orientation folded in: every
     winding is c . coords(z). Expanding det[e_i | P] along its first column,
     c_i is +-P's maximal minor without row i, so all of c is read off one
-    elimination of P^T, and the gcd of c is ``torsion_order``.
-
-    An instance is the named tuple of these fields, compared and hashed as that
-    tuple; its instance dict holds only the ``standard_cycle`` computed on first use.
+    elimination of P^T, and the gcd of c is ``torsion_order``. One more
+    elimination, of the basis' Gram matrix next to c, gives the standard
+    harmonic cycle ``standard_cycle`` and ``tree_count``, see
+    ``_weighted_cycle_sum``. An instance is compared and hashed as the
+    tuple of these fields.
     """
+
+    __slots__ = ()
 
     graph: Multigraph
     partial: IntMatrix
@@ -86,9 +91,7 @@ class Unicyclization(
     tree_count: int
     covector: tuple[int, ...]
     torsion_order: int
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to attribute {name!r} of an immutable Unicyclization")
+    standard_cycle: tuple[int, ...]
 
     @property
     def cycle_rank(self) -> int:
@@ -100,33 +103,29 @@ class Unicyclization(
 
         return complex_from_boundaries(incidence_matrix(self.graph), self.partial)
 
-    @cached_property
-    def standard_cycle(self) -> tuple[int, ...]:
-        """The standard harmonic cycle in closed form, computed on first use:
-        the stored basis weighted by the winding covector, see ``_weighted_cycle_sum``."""
-        return _weighted_cycle_sum(self.graph.edge_count, self.basis, self.covector, self.tree_count)
 
+def _weighted_cycle_sum(edge_count: int, cycles, values: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(det G, B adj(G) f) for a Z-basis B of the cycle lattice of a graph,
+    its Gram matrix G = B^T B and the values f = f(B) of a linear functional
+    f on cycles: the number k of spanning trees, the determinant of the
+    lattice of integral flows (Bacher, de la Harpe and Nagnibeda, 1997),
+    and the sum over all cycletrees of f(cycle) times the cycle.
 
-def _weighted_cycle_sum(edge_count: int, cycles, values: Sequence[int], k: int) -> tuple[int, ...]:
-    """B adj(G) f for a Z-basis B of the cycle lattice of a graph with k
-    spanning trees, its Gram matrix G = B^T B and the values f = f(B) of a
-    linear functional f on cycles: the sum over all cycletrees of f(cycle)
-    times the cycle.
-
-    Both are cycles whose inner product with each b_i is k f_i: here
+    Both chains are cycles whose inner product with each b_i is k f_i: here
     b_i . B adj(G) f = (G adj(G) f)_i, and for the cycletree sum it is the
     identity C . lambda = f(C) k. The inner product is nondegenerate on
     cycles, so they are equal. One fraction-free elimination of [G | f]
-    solves G x = f; its final pivot is det G, which must be k, and then its
-    one kernel vector is (-k x, k) with k x = adj(G) f.
+    solves G x = f; its final pivot is det G = k, and its one kernel vector
+    is (-k x, k) with k x = adj(G) f. The tests and ``verify`` check k
+    against ``spanning.tree_number``, the Laplacian determinant.
     """
     m = len(cycles)
     augmented = [[dot(u, v) for v in cycles] + [f] for u, f in zip(cycles, values)]
     pivots, d, kernel = _kernel_vectors(_matrix(m, m + 1, tuple(x for row in augmented for x in row)))
-    if pivots != list(range(m)) or d != k:
-        raise InternalError(f"Gram matrix of the {m} cycles does not have determinant {k}, the tree count")
+    if pivots != list(range(m)):
+        raise InternalError(f"Gram matrix of the {m} cycles is singular: they are not a basis")
     ((_, x),) = kernel
-    return tuple(mat_vec(_from_columns(cycles, edge_count), [-e for e in x]))
+    return d, tuple(mat_vec(_from_columns(cycles, edge_count), [-e for e in x]))
 
 
 class WindingReport(NamedTuple):
@@ -173,17 +172,21 @@ def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unic
     # pivot minor is d = det(P^T without column f), and Cramer's rule gives the others.
     _, d, kernel = reading
     ((f, v),) = kernel
+    del reading, kernel  # they hold the elimination's rows: free them before the Gram elimination
     v.insert(f, d)  # v held the entries at the pivot columns, every column but f
     sign = orientation * (-1) ** f
+    covector = tuple(sign * x for x in v)
+    tree_count, standard_cycle = _weighted_cycle_sum(g.edge_count, cycle_basis.cycles, covector)
     return Unicyclization(
         graph=g,
         partial=partial,
         basis=cycle_basis.cycles,
         non_tree_edges=cycle_basis.non_tree_edges,
         orientation=orientation,
-        tree_count=tree_number(g),
-        covector=tuple(sign * x for x in v),
+        tree_count=tree_count,
+        covector=covector,
         torsion_order=gcd_of_vector(v),
+        standard_cycle=standard_cycle,
     )
 
 
@@ -313,8 +316,8 @@ def cycletree_windings(a: Unicyclization, cap: int | None = None) -> tuple[int, 
 def standard_harmonic_cycle(a: Unicyclization) -> tuple[int, ...]:
     """Sum of winding-number-weighted unique cycles over all cycletrees.
 
-    Computed in closed form without enumeration, see
-    ``Unicyclization.standard_cycle``; ``verify.cycletree_sum`` is the
+    Computed in closed form without enumeration when the instance is
+    built, see ``_weighted_cycle_sum``; ``verify.cycletree_sum`` is the
     enumerated oracle. Each summand is orientation-invariant, so the result
     does not depend on the canonical cycle orientations; it does flip with
     the basis, see ``sign_normalized`` for a presentation-stable variant.
@@ -346,9 +349,9 @@ def split_standard_cycle(a: Unicyclization, edge: int) -> tuple[tuple[int, ...],
     Returns (sum over cycletrees through the edge, sum over the rest); the
     two add up to the full standard harmonic cycle. The cycletrees that
     avoid the edge are exactly those of the graph with it deleted, so their
-    sum is the closed form of ``Unicyclization.standard_cycle`` over the
-    fundamental cycles of that graph's lexmin tree, weighted by their
-    windings here; it is zero when the deletion disconnects the graph.
+    sum is the closed form of ``_weighted_cycle_sum`` over the fundamental
+    cycles of that graph's lexmin tree, weighted by their windings here; it
+    is zero when the deletion disconnects the graph.
     ``verify.cycletree_split`` is the enumerated oracle.
     """
     g = a.graph
@@ -362,7 +365,7 @@ def split_standard_cycle(a: Unicyclization, edge: int) -> tuple[tuple[int, ...],
         cycle_basis = fundamental_basis(g, {old_edge[e] for e in tree})
         cycles = [z for e, z in zip(cycle_basis.non_tree_edges, cycle_basis.cycles) if e != edge]
         windings = [_covector_winding(a, z) for z in cycles]
-        without_edge = _weighted_cycle_sum(g.edge_count, cycles, windings, tree_number(smaller))
+        _, without_edge = _weighted_cycle_sum(g.edge_count, cycles, windings)
     return tuple(x - y for x, y in zip(a.standard_cycle, without_edge)), without_edge
 
 
@@ -444,15 +447,14 @@ def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization,
 
     columns = [[a.partial[e, j] for e in order] for j in range(a.partial.cols)]
     last = a.cycle_rank - 1
-    ncols = len(columns)
     _clear_row(columns, last)
-    det_u = -1 if columns[ncols - 1][last] < 0 else 1
-    columns[ncols - 1] = [det_u * v for v in columns[ncols - 1]]
-    if columns[ncols - 1][last] != n_sigma:
-        raise InternalError(f"column reduction left {columns[ncols - 1][last]} at the deleted edge, expected {n_sigma}")
+    det_u = -1 if columns[-1][last] < 0 else 1
+    columns[-1] = [det_u * v for v in columns[-1]]
+    if columns[-1][last] != n_sigma:
+        raise InternalError(f"column reduction left {columns[-1][last]} at the deleted edge, expected {n_sigma}")
 
     transported = [relabeling.transport_chain(z) for z in ordered_chains[:-1]]
-    top_coords = _from_columns([col[:last] for col in columns[: ncols - 1]], last)
+    top_coords = _from_columns([col[:last] for col in columns[:-1]], last)
     partial_d = _from_columns(transported, smaller.edge_count) @ top_coords
     deleted = _assemble(smaller, partial_d, tree, a.orientation * det_u * eps)
     return deleted, n_sigma

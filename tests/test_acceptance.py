@@ -133,6 +133,7 @@ def test_criterion_4_exhaustive_family_theorems():
                         assert dot(c, lam_with) == 0
                 else:
                     contracted = contract_unicyclization(a, sigma)
+                    assert contracted.tree_count == tree_number(contracted.graph)
                     lam_c = standard_harmonic_cycle(contracted)
                     for c in avoid:
                         cc = tuple(v for e, v in enumerate(c) if e != sigma)
@@ -141,6 +142,7 @@ def test_criterion_4_exhaustive_family_theorems():
                     assert not any(lam_without)
                 else:
                     smaller, n_sigma = delete_unicyclization(a, sigma)
+                    assert smaller.tree_count == tree_number(smaller.graph)
                     lam_d = standard_harmonic_cycle(smaller)
                     for c in avoid:
                         if c[sigma] != 0:

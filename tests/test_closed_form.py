@@ -16,10 +16,9 @@ from hx.cli import main
 from hx.errors import InternalError
 from hx.graphs import Multigraph
 from hx.intlinalg import IntMatrix, det, dot, rank
-from hx.spanning import cycletrees, fundamental_basis, lexmin_spanning_tree
+from hx.spanning import cycletrees, fundamental_basis, lexmin_spanning_tree, tree_number
 from hx.verify import cycletree_split, cycletree_sum, determinant_windings, exhaustive_family
 from hx.winding import (
-    Unicyclization,
     contract_unicyclization,
     cycletree_windings,
     delete_unicyclization,
@@ -40,7 +39,7 @@ def gram_det(a):
 def assert_matches_oracle(a):
     assert standard_harmonic_cycle(a) == cycletree_sum(a)
     assert list(cycletree_windings(a)) == determinant_windings(a, [ct.cycle for ct in cycletrees(a.graph)])
-    assert gram_det(a) == a.tree_count
+    assert gram_det(a) == a.tree_count == tree_number(a.graph)
     for edge in range(a.graph.edge_count):
         assert split_standard_cycle(a, edge) == cycletree_split(a, edge)
     # tau comes from the covector; sympy's Smith form of the unicyclizer's coordinates is the oracle.
@@ -195,20 +194,34 @@ def test_random_contractions_and_deletions_keep_windings(a):
             delete_checked(a, edge)
 
 
-def test_gram_check_raises_internal_error():
-    a = new_unicyclization(Multigraph(2, ((0, 1), (0, 1), (0, 1))), IntMatrix.from_columns([[1, -1, 0]]))
-    corrupted = Unicyclization(
-        graph=a.graph,
-        partial=a.partial,
-        basis=a.basis,
-        non_tree_edges=a.non_tree_edges,
-        orientation=a.orientation,
-        tree_count=a.tree_count + 1,
-        covector=a.covector,
-        torsion_order=a.torsion_order,
-    )
+def test_gram_of_dependent_cycles_raises_internal_error():
+    cycle = (-1, 1, 0)
     with pytest.raises(InternalError):
-        standard_harmonic_cycle(corrupted)
+        winding._weighted_cycle_sum(3, [cycle, cycle], [1, 1])
+    with pytest.raises(InternalError):
+        winding._weighted_cycle_sum(3, [cycle, cycle], [1, 2])
+
+
+def test_builds_and_splits_take_no_kirchhoff_determinant(monkeypatch):
+    # The tree count is the final pivot of the Gram elimination that gives lambda.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a build or a split took the Laplacian determinant")
+
+    built = []
+    monkeypatch.setattr(winding, "tree_number", forbidden)
+    for g, partial in exhaustive_family(4, 6, 2, per_graph=1):
+        a = new_unicyclization(g, partial)
+        lam = standard_harmonic_cycle(a)
+        built.append(a)
+        for edge in range(g.edge_count):
+            with_edge, without_edge = split_standard_cycle(a, edge)
+            assert tuple(x + y for x, y in zip(with_edge, without_edge)) == lam
+            if not g.is_loop(edge):
+                built.append(contract_unicyclization(a, edge))
+            if winding_difference(a, edge):
+                built.append(delete_unicyclization(a, edge)[0])
+    monkeypatch.undo()
+    assert all(a.tree_count == tree_number(a.graph) for a in built)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -34,17 +34,18 @@ def test_records_are_immutable_values(make, field):
         setattr(a, field, getattr(a, field))
     with pytest.raises(AttributeError):
         delattr(a, field)
-    for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+    pickles = [pickle.loads(pickle.dumps(a, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (*pickles, copy.deepcopy(a), copy.copy(a)):
         assert twin == a and hash(twin) == hash(a) and type(twin) is type(a)
     assert repr(a).startswith(type(a).__name__ + "(")
 
 
 def test_unicyclization_refuses_new_attributes():
-    # The only record with an instance dict, which holds just the cached standard cycle.
+    # Like every record, it has empty __slots__ and so no instance dict to take a new name.
     a = theta_unicyclization()
     with pytest.raises(AttributeError):
         a.scratch = 1
-    assert "scratch" not in vars(a)
+    assert not hasattr(a, "__dict__") and not hasattr(a, "scratch")
 
 
 def test_every_public_matrix_construction_checks_its_entries_once(monkeypatch):
@@ -75,6 +76,15 @@ def test_every_public_matrix_construction_checks_its_entries_once(monkeypatch):
         copy.copy(_matrix(1, 1, (0.5,)))
 
 
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_unpickling_checks_matrices_and_graphs_at_every_protocol(protocol):
+    # Protocols 0 and 1 rebuild a tuple subclass without __new__ unless __reduce__ says otherwise.
+    with pytest.raises(DimensionError):
+        pickle.loads(pickle.dumps(_matrix(1, 1, (0.5,)), protocol))
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(tuple.__new__(Multigraph, (2, ((0, 2),))), protocol))
+
+
 def test_records_differ_when_a_field_differs():
     assert IntMatrix(1, 2, (1, 2)) != IntMatrix(2, 1, (1, 2))
     assert Multigraph(2, THETA) != Multigraph(3, THETA)
@@ -83,8 +93,10 @@ def test_records_differ_when_a_field_differs():
     assert a != b and a.graph == b.graph
 
 
-def test_unicyclization_copies_keep_the_cached_cycle():
+def test_unicyclization_copies_carry_the_standard_cycle():
     a = theta_unicyclization()
     lam = standard_harmonic_cycle(a)
-    for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
-        assert twin == a and standard_harmonic_cycle(twin) == lam
+    assert lam == a.standard_cycle == (-1, -1, 2)
+    pickles = [pickle.loads(pickle.dumps(a, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (*pickles, copy.deepcopy(a), copy.copy(a)):
+        assert twin == a and twin.standard_cycle == lam and standard_harmonic_cycle(twin) == lam
