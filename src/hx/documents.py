@@ -30,10 +30,11 @@ if TYPE_CHECKING:
 # 57 MB (Python 3.11, one x86-64 core).
 MAX_VERTICES = 1 << 20
 # Largest edge count a document may declare. On the cycle graph with 2^10
-# edges, `validate`, `lambda` and `homology --dim 1` take 0.09-0.14 s and
-# 16 MB, and `trees` 30-36 s and 39 MB, nearly all of it the Laplacian
-# determinant (same host). `homology --dim 1` on the circulant with 200 edges
-# (i, i+1), (i, i+2) mod 100 and +-9 coordinates takes 1.7 s and 20 MB.
+# edges, `validate`, `lambda` and `trees` take 0.33-0.37 s and 44 MB, most of
+# it the one elimination of the dense 1,023 x 1,024 reduced Laplacian, and
+# `homology --dim 1` 0.11 s and 15 MB (medians of 5, same host). `homology
+# --dim 1` on the circulant with 200 edges (i, i+1), (i, i+2) mod 100 and +-9
+# coordinates takes 0.44 s and 16 MB.
 MAX_EDGES = 1 << 10
 # Largest product of the vertex and edge counts, the entry count of the dense
 # incidence matrix. Only a connected graph's is built, by `verify`, and every

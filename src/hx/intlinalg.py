@@ -196,32 +196,38 @@ def _bareiss(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
     sign: det(m) itself when m is square and invertible. Each column ends
     zero below its pivot, and rows past the pivots end zero; d is 1 when
     there is no pivot.
+
+    With row[c] = 0 the step only scales the row by p / prev, which is put
+    off (Lee and Saunders, J. Symbolic Comput. 19, 1995): a row last updated
+    at pivot s divides by s, not prev, and is scaled by prev / s as a pivot.
     """
     rows = m.to_rows()
     nrows, ncols = m.rows, m.cols
+    scale = [1] * nrows  # the pivot each row was last updated at
     pivots: list[int] = []
     prev = 1
     r = 0
     for c in range(ncols if nrows else 0):
-        top = rows[r]
+        i = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if i is None:
+            continue
+        top, s = rows[i], scale[i]
+        rows[i], scale[i] = rows[r], scale[r]
+        if i != r or s != prev:  # a row swapped in is negated, a stale one brought up to date
+            top = [(x if i == r else -x) * prev // s for x in top]
+        rows[r] = top
         p = top[c]
-        if not p:
-            swap = next((i for i in range(r + 1, nrows) if rows[i][c]), None)
-            if swap is None:
-                continue
-            rows[swap], top = top, [-x for x in rows[swap]]
-            rows[r] = top
-            p = top[c]
         pivots.append(c)
         r += 1
         if r == nrows:
             return rows, pivots, p
-        rest = range(c + 1, ncols)
-        for row in rows[r:]:
-            f = row[c]
-            for j in rest:
-                row[j] = (row[j] * p - f * top[j]) // prev
-            row[c] = 0
+        for i in range(r, nrows):
+            f = rows[i][c]
+            if f:
+                row, s = rows[i], scale[i]
+                for j in range(c + 1, ncols):
+                    row[j] = (row[j] * p - f * top[j]) // s
+                row[c], scale[i] = 0, p
         prev = p
     return rows, pivots, prev
 

@@ -14,7 +14,7 @@ the exponential blowup.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .errors import EnumerationCapError, NotConnectedError
@@ -24,7 +24,7 @@ from .graphs import (
     spanning_subgraph_connected,
     _forest,
 )
-from .intlinalg import IntMatrix, det
+from .intlinalg import _kernel_vectors, _matrix
 
 DEFAULT_ENUMERATION_CAP = 16
 # Graphs kept by `tree_number` and `verify._cycletree_count_or_zero`, least
@@ -91,22 +91,37 @@ def lexmin_spanning_tree(g: Multigraph) -> frozenset[int]:
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def tree_number(g: Multigraph) -> int:
-    """Number of spanning trees, by the reduced dim-0 Laplacian determinant.
-
-    The Laplacian, degrees minus adjacency with loops dropped, is summed
-    from the edges with vertex 0's row and column left out.
-    """
+    """Number of spanning trees, the reduced Laplacian's determinant: ``_cycle_projection``'s k for x = 0."""
     require_connected(g)
-    n = g.vertex_count - 1
-    laplacian = [0] * (n * n)
-    for t, h in g.edges:
-        if t != h:
-            for a, b in ((t, h), (h, t)):
-                if a:
-                    laplacian[(a - 1) * (n + 1)] += 1
-                    if b:
-                        laplacian[(a - 1) * n + b - 1] -= 1
-    return det(IntMatrix(n, n, tuple(laplacian)))
+    return _cycle_projection(g.vertex_count, g.edges, {})[0]
+
+
+def _cycle_projection(vertex_count: int, edges, x: dict) -> tuple[int, tuple[int, ...]]:
+    """(k, k P x) for the number k of spanning trees and the orthogonal
+    projection P onto the cycles of the 1-chain x, given as {edge: value};
+    k = 0 and the zero chain when the edges do not connect the vertices.
+
+    With D the incidence matrix without vertex 0's row, the reduced
+    Laplacian L = D D^T has det L = k (Kirchhoff), so k P x = k x - D^T
+    adj(L) D x. The elimination of [L | D x] ends with the pivot k, and its
+    kernel vector is (y, k) for y = -adj(L) D x. L is positive definite
+    when the edges connect, so no row is swapped; else it has < V - 1 pivots.
+    """
+    rows = [[0] * (vertex_count + 1) for _ in range(vertex_count)]  # [L | D x] with vertex 0's row and column
+    for e, (t, h) in enumerate(edges):
+        if t == h:  # a loop adds nothing
+            continue
+        for a, b, sign in ((t, h, -1), (h, t, 1)):
+            rows[a][a] += 1
+            rows[a][b] -= 1
+            rows[a][-1] += sign * x.get(e, 0)
+    n = vertex_count - 1
+    pivots, k, kernel = _kernel_vectors(_matrix(n, n + 1, tuple(chain.from_iterable(row[1:] for row in rows[1:]))))
+    if len(pivots) < n:
+        return 0, (0,) * len(edges)
+    ((_, y),) = kernel
+    y.insert(0, 0)
+    return k, tuple(k * x.get(e, 0) + y[h] - y[t] for e, (t, h) in enumerate(edges))
 
 
 def unique_cycle(g: Multigraph, edge_ids) -> tuple[int, ...]:

@@ -3,9 +3,9 @@
 Each verifier re-derives one identity by exhaustive enumeration and returns
 a report of named checks. The oracles for the closed forms in ``winding``
 are here too: ``determinant_windings`` takes each winding as the
-determinant that defines it, apart from the stored covector, and
-``cycletree_sum`` and ``cycletree_split`` sum the cycletrees by their
-definition. The instance family generator enumerates every connected
+determinant that defines it, ``_weighted_cycle_sum`` k and lambda from a
+Gram matrix, and ``cycletree_sum`` and ``cycletree_split`` sum the
+cycletrees. The instance family generator enumerates every connected
 multigraph up to the given size (one representative per vertex
 relabeling) and equips each with seeded random valid unicyclizers, which
 is what the acceptance suite sweeps.
@@ -20,8 +20,9 @@ from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterator, NamedTuple
 
 from .complexes import energy, harmonic_basis
+from .errors import InternalError
 from .graphs import Multigraph, contract, corank, delete, is_connected, spanning_subgraph_connected
-from .intlinalg import IntMatrix, _from_columns, _matrix, det, dot, mat_vec, rank
+from .intlinalg import IntMatrix, _from_columns, _kernel_vectors, _matrix, det, dot, mat_vec, rank
 from .spanning import GRAPH_CACHE_SIZE, cycletrees, fundamental_basis, lexmin_spanning_tree, spanning_trees, tree_number
 from .winding import Unicyclization, cycle_coordinates, standard_harmonic_cycle
 
@@ -80,6 +81,24 @@ def determinant_windings(a: Unicyclization, cycles) -> list[int]:
     return [windings[z] for z in cycles]
 
 
+def _weighted_cycle_sum(edge_count: int, cycles, values) -> tuple[int, tuple[int, ...]]:
+    """(det G, B adj(G) f) for a Z-basis B of the cycle lattice, its Gram
+    matrix G = B^T B and the values f of a linear functional on B: the tree
+    count k (Bacher, de la Harpe and Nagnibeda, 1997) and the sum over the
+    cycletrees of f(cycle) times the cycle, as both are cycles with inner
+    product k f_i with each b_i. One elimination of [G | f] ends with the
+    pivot det G, and its kernel vector is (-adj(G) f, det G). This is the
+    oracle for ``spanning._cycle_projection``, which builds every instance.
+    """
+    m = len(cycles)
+    augmented = [[dot(u, v) for v in cycles] + [f] for u, f in zip(cycles, values)]
+    pivots, d, kernel = _kernel_vectors(_matrix(m, m + 1, tuple(x for row in augmented for x in row)))
+    if pivots != list(range(m)):
+        raise InternalError(f"Gram matrix of the {m} cycles is singular: they are not a basis")
+    ((_, x),) = kernel
+    return d, tuple(mat_vec(_from_columns(cycles, edge_count), [-e for e in x]))
+
+
 def _winding_weighted_sum(a: Unicyclization, trees) -> tuple[int, ...]:
     """Sum of the cycletrees' unique cycles, each times its determinant winding number.
 
@@ -112,14 +131,15 @@ def verify_inner_product(
 
     Covers every cycletree cycle, every basis cycle, and seeded random
     integer combinations of the basis. Windings are determinants and k is
-    the Laplacian's, so the probes check lambda and, through it, det G = k.
+    the basis' Gram determinant (``_weighted_cycle_sum``), not the Laplacian
+    that gives lambda, so the probes check lambda and, through it, that k.
     """
     rng = random.Random(seed)
     probes = [(f"cycletree[{i}]", ct.cycle) for i, ct in enumerate(cycletrees(a.graph, cap))]
     probes += [(f"basis[{i}]", z) for i, z in enumerate(a.basis)]
     probes += [(f"random[{t}]", _random_cycle(rng, a)) for t in range(trials)]
     lam = standard_harmonic_cycle(a)
-    k = tree_number(a.graph)
+    k, _ = _weighted_cycle_sum(a.graph.edge_count, a.basis, a.covector)
     checks = []
     for (name, cycle), w in zip(probes, determinant_windings(a, [z for _, z in probes])):
         lhs, rhs = dot(cycle, lam), w * k

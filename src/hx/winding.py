@@ -7,8 +7,9 @@ a cell complex whose first homology has rank one: every cycle gets an
 integer winding number (a determinant in cycle-space coordinates, linear in
 the cycle, so one covector per instance), and the cycletree-weighted sum of
 winding numbers is a nonzero harmonic cycle. That sum, and its split at an
-edge, are computed here in closed form from cycle bases; the determinant
-windings and the enumerated sums are kept in ``verify`` as the oracles.
+edge, are computed here in closed form from the reduced Laplacian, see
+``spanning._cycle_projection``; the determinant windings, the Gram
+elimination and the enumerated sums are kept in ``verify`` as the oracles.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import DimensionError, InternalError, NotConnectedError, UnicyclizerAxiomError
+from .errors import DimensionError, InternalError, UnicyclizerAxiomError
 from .graphs import (
     Multigraph,
     are_cycles,
@@ -47,6 +48,7 @@ from .spanning import (
     fundamental_basis,
     lexmin_spanning_tree,
     tree_number,
+    _cycle_projection,
 )
 
 # fractions and complexes are imported by the few functions that use them, so
@@ -74,11 +76,12 @@ class Unicyclization(
     as ``covector``, c_i = w(b_i) with the orientation folded in: every
     winding is c . coords(z). Expanding det[e_i | P] along its first column,
     c_i is +-P's maximal minor without row i, so all of c is read off one
-    elimination of P^T, and the gcd of c is ``torsion_order``. One more
-    elimination, of the basis' Gram matrix next to c, gives the standard
-    harmonic cycle ``standard_cycle`` and ``tree_count``, see
-    ``_weighted_cycle_sum``. An instance is compared and hashed as the
-    tuple of these fields.
+    elimination of P^T, and the gcd of c is ``torsion_order``. Placed at the
+    non-tree edges, c is a chain whose inner product with each cycle is its
+    winding, and one more elimination, of the reduced Laplacian next to its
+    boundary, gives ``tree_count`` and the standard harmonic cycle
+    ``standard_cycle``, see ``spanning._cycle_projection``. An instance is
+    compared and hashed as the tuple of these fields.
     """
 
     __slots__ = ()
@@ -102,30 +105,6 @@ class Unicyclization(
         from .complexes import complex_from_boundaries
 
         return complex_from_boundaries(incidence_matrix(self.graph), self.partial)
-
-
-def _weighted_cycle_sum(edge_count: int, cycles, values: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """(det G, B adj(G) f) for a Z-basis B of the cycle lattice of a graph,
-    its Gram matrix G = B^T B and the values f = f(B) of a linear functional
-    f on cycles: the number k of spanning trees, the determinant of the
-    lattice of integral flows (Bacher, de la Harpe and Nagnibeda, 1997),
-    and the sum over all cycletrees of f(cycle) times the cycle.
-
-    Both chains are cycles whose inner product with each b_i is k f_i: here
-    b_i . B adj(G) f = (G adj(G) f)_i, and for the cycletree sum it is the
-    identity C . lambda = f(C) k. The inner product is nondegenerate on
-    cycles, so they are equal. One fraction-free elimination of [G | f]
-    solves G x = f; its final pivot is det G = k, and its one kernel vector
-    is (-k x, k) with k x = adj(G) f. The tests and ``verify`` check k
-    against ``spanning.tree_number``, the Laplacian determinant.
-    """
-    m = len(cycles)
-    augmented = [[dot(u, v) for v in cycles] + [f] for u, f in zip(cycles, values)]
-    pivots, d, kernel = _kernel_vectors(_matrix(m, m + 1, tuple(x for row in augmented for x in row)))
-    if pivots != list(range(m)):
-        raise InternalError(f"Gram matrix of the {m} cycles is singular: they are not a basis")
-    ((_, x),) = kernel
-    return d, tuple(mat_vec(_from_columns(cycles, edge_count), [-e for e in x]))
 
 
 class WindingReport(NamedTuple):
@@ -172,11 +151,12 @@ def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unic
     # pivot minor is d = det(P^T without column f), and Cramer's rule gives the others.
     _, d, kernel = reading
     ((f, v),) = kernel
-    del reading, kernel  # they hold the elimination's rows: free them before the Gram elimination
+    del reading, kernel  # they hold the elimination's rows: free them before the Laplacian's
     v.insert(f, d)  # v held the entries at the pivot columns, every column but f
     sign = orientation * (-1) ** f
     covector = tuple(sign * x for x in v)
-    tree_count, standard_cycle = _weighted_cycle_sum(g.edge_count, cycle_basis.cycles, covector)
+    x = dict(zip(cycle_basis.non_tree_edges, covector))  # a chain whose product with a cycle is its winding
+    tree_count, standard_cycle = _cycle_projection(g.vertex_count, g.edges, x)
     return Unicyclization(
         graph=g,
         partial=partial,
@@ -317,8 +297,8 @@ def standard_harmonic_cycle(a: Unicyclization) -> tuple[int, ...]:
     """Sum of winding-number-weighted unique cycles over all cycletrees.
 
     Computed in closed form without enumeration when the instance is
-    built, see ``_weighted_cycle_sum``; ``verify.cycletree_sum`` is the
-    enumerated oracle. Each summand is orientation-invariant, so the result
+    built, see ``spanning._cycle_projection``; ``verify.cycletree_sum`` is
+    the enumerated oracle. Each summand is orientation-invariant, so the result
     does not depend on the canonical cycle orientations; it does flip with
     the basis, see ``sign_normalized`` for a presentation-stable variant.
     """
@@ -349,24 +329,17 @@ def split_standard_cycle(a: Unicyclization, edge: int) -> tuple[tuple[int, ...],
     Returns (sum over cycletrees through the edge, sum over the rest); the
     two add up to the full standard harmonic cycle. The cycletrees that
     avoid the edge are exactly those of the graph with it deleted, so their
-    sum is the closed form of ``_weighted_cycle_sum`` over the fundamental
-    cycles of that graph's lexmin tree, weighted by their windings here; it
-    is zero when the deletion disconnects the graph.
+    sum is that graph's standard harmonic cycle for the same windings, which
+    the covector at the non-tree edges still gives with 0 at the edge. So
+    ``_cycle_projection`` runs with the edge made a loop, which adds
+    nothing; the sum is zero when the deletion disconnects the graph.
     ``verify.cycletree_split`` is the enumerated oracle.
     """
     g = a.graph
-    smaller, relabeling = delete(g, edge)
-    try:
-        tree = lexmin_spanning_tree(smaller)
-    except NotConnectedError:  # a bridge: every cycletree goes through it
-        without_edge = (0,) * g.edge_count
-    else:
-        old_edge = {new: old for old, new in relabeling.edges.items()}
-        cycle_basis = fundamental_basis(g, {old_edge[e] for e in tree})
-        cycles = [z for e, z in zip(cycle_basis.non_tree_edges, cycle_basis.cycles) if e != edge]
-        windings = [_covector_winding(a, z) for z in cycles]
-        _, without_edge = _weighted_cycle_sum(g.edge_count, cycles, windings)
-    return tuple(x - y for x, y in zip(a.standard_cycle, without_edge)), without_edge
+    g.check_edge(edge)
+    x = {e: c for e, c in zip(a.non_tree_edges, a.covector) if e != edge}
+    _, without_edge = _cycle_projection(g.vertex_count, g.edges[:edge] + ((0, 0),) + g.edges[edge + 1 :], x)
+    return tuple(p - q for p, q in zip(a.standard_cycle, without_edge)), without_edge
 
 
 def winding_difference(a: Unicyclization, edge: int) -> int:

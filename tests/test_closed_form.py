@@ -11,10 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from hx import complexes, intlinalg, winding
+from hx import complexes, intlinalg, spanning, verify, winding
 from hx.cli import main
 from hx.errors import InternalError
-from hx.graphs import Multigraph
+from hx.graphs import Multigraph, delete, is_connected
 from hx.intlinalg import IntMatrix, det, dot, rank
 from hx.spanning import cycletrees, fundamental_basis, lexmin_spanning_tree, tree_number
 from hx.verify import cycletree_split, cycletree_sum, determinant_windings, exhaustive_family
@@ -42,6 +42,7 @@ def assert_matches_oracle(a):
     assert gram_det(a) == a.tree_count == tree_number(a.graph)
     for edge in range(a.graph.edge_count):
         assert split_standard_cycle(a, edge) == cycletree_split(a, edge)
+    assert_matches_gram_oracle(a)
     # tau comes from the covector; sympy's Smith form of the unicyclizer's coordinates is the oracle.
     coords = a.partial.select_rows(a.non_tree_edges)
     snf = smith_normal_form(sympy.Matrix(coords.rows, coords.cols, list(coords.entries)), domain=sympy.ZZ)
@@ -197,31 +198,102 @@ def test_random_contractions_and_deletions_keep_windings(a):
 def test_gram_of_dependent_cycles_raises_internal_error():
     cycle = (-1, 1, 0)
     with pytest.raises(InternalError):
-        winding._weighted_cycle_sum(3, [cycle, cycle], [1, 1])
+        verify._weighted_cycle_sum(3, [cycle, cycle], [1, 1])
     with pytest.raises(InternalError):
-        winding._weighted_cycle_sum(3, [cycle, cycle], [1, 2])
+        verify._weighted_cycle_sum(3, [cycle, cycle], [1, 2])
 
 
-def test_builds_and_splits_take_no_kirchhoff_determinant(monkeypatch):
-    # The tree count is the final pivot of the Gram elimination that gives lambda.
+def test_builds_and_splits_take_one_laplacian_elimination_and_no_gram_matrix(monkeypatch):
+    # k and lambda come from one elimination of the reduced Laplacian next to
+    # D x (spanning._cycle_projection); only verify's oracle builds a Gram matrix.
     def forbidden(*args, **kwargs):
-        raise AssertionError("a build or a split took the Laplacian determinant")
+        raise AssertionError("a build or a split took a forbidden route")
+
+    eliminated = []
+
+    def counted(m):
+        eliminated.append((m.rows, m.cols))
+        return intlinalg._kernel_vectors(m)
+
+    def laplacian_eliminations(g):
+        return [(g.vertex_count - 1, g.vertex_count)]
 
     built = []
+    monkeypatch.setattr(verify, "_weighted_cycle_sum", forbidden)
     monkeypatch.setattr(winding, "tree_number", forbidden)
+    monkeypatch.setattr(spanning, "_kernel_vectors", counted)
     for g, partial in exhaustive_family(4, 6, 2, per_graph=1):
+        eliminated.clear()
         a = new_unicyclization(g, partial)
-        lam = standard_harmonic_cycle(a)
+        assert eliminated == laplacian_eliminations(g)
         built.append(a)
         for edge in range(g.edge_count):
-            with_edge, without_edge = split_standard_cycle(a, edge)
-            assert tuple(x + y for x, y in zip(with_edge, without_edge)) == lam
             if not g.is_loop(edge):
+                eliminated.clear()
                 built.append(contract_unicyclization(a, edge))
+                assert eliminated == laplacian_eliminations(built[-1].graph)
             if winding_difference(a, edge):
+                eliminated.clear()
                 built.append(delete_unicyclization(a, edge)[0])
+                assert eliminated == laplacian_eliminations(built[-1].graph)
+        with pytest.MonkeyPatch.context() as splitting:
+            for name in ("delete", "lexmin_spanning_tree", "fundamental_basis"):
+                splitting.setattr(winding, name, forbidden)
+            for edge in range(g.edge_count):
+                eliminated.clear()
+                with_edge, without_edge = split_standard_cycle(a, edge)
+                assert eliminated == laplacian_eliminations(g)
+                assert tuple(x + y for x, y in zip(with_edge, without_edge)) == a.standard_cycle
+        # tree_number reads the same elimination.
+        spanning.tree_number.cache_clear()
+        eliminated.clear()
+        assert spanning.tree_number(g) == a.tree_count
+        assert eliminated == laplacian_eliminations(g)
     monkeypatch.undo()
-    assert all(a.tree_count == tree_number(a.graph) for a in built)
+    assert all(a.tree_count == tree_number(a.graph) == gram_det(a) for a in built)
+
+
+def gram_split(a, edge):
+    """The split at the edge by the Gram oracle: the fundamental cycles of the
+    graph with the edge deleted, weighted by their windings here."""
+    g = a.graph
+    smaller, relabeling = delete(g, edge)
+    if is_connected(smaller):
+        old_edge = {new: old for old, new in relabeling.edges.items()}
+        basis = fundamental_basis(g, {old_edge[e] for e in lexmin_spanning_tree(smaller)})
+        cycles = [z for e, z in zip(basis.non_tree_edges, basis.cycles) if e != edge]
+        _, without_edge = verify._weighted_cycle_sum(g.edge_count, cycles, [winding_number(a, z) for z in cycles])
+    else:  # a bridge: every cycletree goes through it
+        without_edge = (0,) * g.edge_count
+    return tuple(x - y for x, y in zip(a.standard_cycle, without_edge)), without_edge
+
+
+def assert_matches_gram_oracle(a):
+    """(k, lambda) and the split at every edge against the Gram oracle."""
+    assert (a.tree_count, a.standard_cycle) == verify._weighted_cycle_sum(a.graph.edge_count, a.basis, a.covector)
+    for edge in range(a.graph.edge_count):
+        assert split_standard_cycle(a, edge) == gram_split(a, edge)
+
+
+def test_circulants_and_a_multigraph_match_the_gram_oracle():
+    rng = random.Random(21)
+    instances = []
+    for n in (10, 17, 23, 30):  # E = 20, 34, 46, 60, coordinates in +-9
+        g = Multigraph(n, tuple(e for i in range(n) for e in ((i, (i + 1) % n), (i, (i + 2) % n))))
+        partial = None
+        while partial is None:
+            partial = random_unicyclizer(g, lambda size: [rng.randint(-9, 9) for _ in range(size)])
+        instances.append(new_unicyclization(g, partial))
+    # Parallel edges, loops and the bridge (1, 2) between two parts with cycles.
+    g = Multigraph(4, ((0, 1), (1, 0), (1, 1), (1, 2), (2, 3), (3, 2), (2, 2), (3, 3)))
+    partial = None
+    while partial is None:
+        partial = random_unicyclizer(g, lambda size: [rng.randint(-3, 3) for _ in range(size)])
+    instances.append(new_unicyclization(g, partial))
+    for a in instances[:-1]:
+        assert_matches_gram_oracle(a)
+    assert_matches_oracle(instances[-1])
+    assert split_standard_cycle(instances[-1], 3)[1] == (0,) * 8
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -20,7 +20,7 @@ from hx.intlinalg import (
     smith_diagonal,
 )
 from hx.graphs import Multigraph
-from hx.spanning import fundamental_basis, lexmin_spanning_tree
+from hx.spanning import fundamental_basis, lexmin_spanning_tree, spanning_trees, tree_number
 from hx.verify import connected_multigraphs
 from hx.winding import face_lattice_basis
 
@@ -307,3 +307,93 @@ def planted_torsion_matrices(draw):
 @given(planted_torsion_matrices())
 def test_planted_torsion_smith_diagonal_matches_sympy(m):
     assert_smith_diagonal_matches(m)
+
+
+def dense_bareiss(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
+    """The forward elimination of ``_bareiss`` with every row below the pivot
+    rescaled at every step, the plain form of Bareiss (1968): the reference
+    for its lazy scaling, whose result must be the same, row for row."""
+    rows = m.to_rows()
+    nrows, ncols = m.rows, m.cols
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols if nrows else 0):
+        top = rows[r]
+        p = top[c]
+        if not p:
+            swap = next((i for i in range(r + 1, nrows) if rows[i][c]), None)
+            if swap is None:
+                continue
+            rows[swap], top = top, [-x for x in rows[swap]]
+            rows[r] = top
+            p = top[c]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            return rows, pivots, p
+        for row in rows[r:]:
+            f = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[c] = 0
+        prev = p
+    return rows, pivots, prev
+
+
+@st.composite
+def structured_matrices(draw):
+    """Banded, block-diagonal, rank-deficient and dense matrices with zero
+    columns put in and rows repeated up to a factor, then shuffled: most
+    steps leave some rows untouched, and pivots come from rows left stale."""
+    kind = draw(st.sampled_from(("banded", "blocks", "deficient", "dense")))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40))
+    if kind == "deficient":
+        inner = draw(st.integers(0, min(rows, cols) - 1))
+        left, right = (
+            IntMatrix(a, b, tuple(draw(st.lists(st.integers(-3, 3), min_size=a * b, max_size=a * b))))
+            for a, b in ((rows, inner), (inner, cols))
+        )
+        m = (left @ right).to_rows()
+    elif kind == "blocks":
+        m = [[0] * cols for _ in range(rows)]
+        i = j = 0
+        while i < rows and j < cols:
+            h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            for a in range(i, min(i + h, rows)):
+                for b in range(j, min(j + w, cols)):
+                    m[a][b] = draw(entry)
+            i, j = i + h, j + w
+    else:
+        width = draw(st.integers(0, 2)) if kind == "banded" else max(rows, cols)
+        m = [[draw(entry) if abs(a - b) <= width else 0 for b in range(cols)] for a in range(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(m[0])))
+        m = [row[:at] + [0] + row[at:] for row in m]
+    for _ in range(draw(st.integers(0, 2))):
+        factor = draw(st.sampled_from((-2, -1, 1, 3)))
+        m.append([factor * x for x in m[draw(st.integers(0, len(m) - 1))]])
+    m = draw(st.permutations(m))
+    return IntMatrix.from_rows(m)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(structured_matrices(), integer_matrices()))
+def test_lazy_scaling_matches_dense_bareiss(m):
+    assert _bareiss(m) == dense_bareiss(m)
+
+
+def test_lazy_scaling_swaps_in_a_stale_row():
+    # Step 0 updates row 1 to [0, 0, 8] and leaves row 2 at scale 1 below the
+    # pivot 2, so column 1 swaps in row 2, which is scaled before it is used.
+    m = IntMatrix.from_rows([[2, 2, 1], [2, 2, 5], [0, 3, 1]])
+    assert _bareiss(m) == dense_bareiss(m) == ([[2, 2, 1], [0, -6, -2], [0, 0, -24]], [0, 1, 2], -24)
+    for m in kernel_matrices(random.Random(1995)):
+        assert _bareiss(m) == dense_bareiss(m)
+
+
+def test_tree_number_counts_the_trees_of_the_acceptance_family():
+    tree_number.cache_clear()
+    for g in connected_multigraphs(4, 6):
+        assert tree_number(g) == len(spanning_trees(g))
