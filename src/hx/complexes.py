@@ -117,7 +117,7 @@ def homology_group(x: ChainComplex, i: int) -> HomologyGroup:
     """
     x.check_dim(i)
     down = x.boundary(i)
-    pivots, d, kernel = _kernel_vectors(down)
+    pivots, d, kernel = _kernel_vectors(down.to_rows(), down.cols)
     pivot_set = set(pivots)
     free = [c for c in range(down.cols) if c not in pivot_set]
     up = x.boundary(i + 1)

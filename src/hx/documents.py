@@ -30,11 +30,11 @@ if TYPE_CHECKING:
 # 57 MB (Python 3.11, one x86-64 core).
 MAX_VERTICES = 1 << 20
 # Largest edge count a document may declare. On the cycle graph with 2^10
-# edges, `validate`, `lambda` and `trees` take 0.33-0.37 s and 44 MB, most of
-# it the one elimination of the dense 1,023 x 1,024 reduced Laplacian, and
-# `homology --dim 1` 0.11 s and 15 MB (medians of 5, same host). `homology
-# --dim 1` on the circulant with 200 edges (i, i+1), (i, i+2) mod 100 and +-9
-# coordinates takes 0.44 s and 16 MB.
+# edges, `trees` takes 0.13 s and 23 MB and `validate` and `lambda` 0.18 s and
+# 28 MB, most of it the one in-place elimination of the 1,023 dense rows of
+# the reduced Laplacian, and `homology --dim 1` 0.08 s and 16 MB (best of 3,
+# same host). `homology --dim 1` on the circulant with 200 edges (i, i+1),
+# (i, i+2) mod 100 and +-9 coordinates takes 0.25 s and 16 MB.
 MAX_EDGES = 1 << 10
 # Largest product of the vertex and edge counts, the entry count of the dense
 # incidence matrix. Only a connected graph's is built, by `verify`, and every

@@ -4,10 +4,10 @@ Everything here is exact: matrices hold arbitrary-precision Python ints.
 One forward fraction-free elimination, ``_bareiss``, does all elimination
 in integers: determinants and rank are read off its triangular form, and
 ``_kernel_vectors`` back-substitutes the pivot entries of the kernel
-vectors that exact solutions, kernel bases, lattice bases and the Smith
-modulus need. One extended-gcd step, ``_clear_row``, builds lattice bases
-and the Smith diagonal (the invariant factors), which is reduced modulo
-the gcd of the minors that elimination exposes.
+vectors that kernel bases, lattice bases and the Smith modulus need; both
+work in place on a list of row lists, ``to_rows()`` or a caller's own.
+One extended-gcd step, ``_clear_row``, builds lattice bases and the Smith
+diagonal (the invariant factors), modulo the gcd of the exposed minors.
 """
 
 from __future__ import annotations
@@ -183,26 +183,25 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
-def _bareiss(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
+def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
     """Forward fraction-free elimination over Z (Bareiss, 1968), the one
     elimination loop of the library; everything else is read off its form.
 
-    Returns (rows, pivot columns, d). Each step replaces every row below the
-    pivot row by (p * row - row[c] * pivot_row) // prev past the pivot
-    column c, where p is the new pivot and prev the last one; every division
-    is exact because each entry is a minor of the input. A row swapped into
-    pivot position is negated, so every row operation has determinant 1 and
-    the last pivot d is the minor of the pivot rows and columns with its
-    sign: det(m) itself when m is square and invertible. Each column ends
-    zero below its pivot, and rows past the pivots end zero; d is 1 when
-    there is no pivot.
+    Eliminates row lists of length ncols in place (reordering, overwriting
+    or replacing rows); returns (rows, pivot columns, d). Each step replaces
+    every row below the pivot row by (p * row - row[c] * pivot_row) // prev
+    past the pivot column c, where p is the new pivot and prev the last one;
+    every division is exact because each entry is a minor of the input. A
+    row swapped into pivot position is negated, so every row operation has
+    determinant 1 and the last pivot d is the minor of the pivot rows and
+    columns with its sign, the determinant of an invertible square matrix.
+    Columns end zero below their pivots, rows past them zero; d is 1 with no pivot.
 
     With row[c] = 0 the step only scales the row by p / prev, which is put
     off (Lee and Saunders, J. Symbolic Comput. 19, 1995): a row last updated
     at pivot s divides by s, not prev, and is scaled by prev / s as a pivot.
     """
-    rows = m.to_rows()
-    nrows, ncols = m.rows, m.cols
+    nrows = len(rows)
     scale = [1] * nrows  # the pivot each row was last updated at
     pivots: list[int] = []
     prev = 1
@@ -237,40 +236,40 @@ def det(m: IntMatrix) -> int:
     has none. The 0x0 determinant is 1 (empty product)."""
     if m.rows != m.cols:
         raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    _, pivots, d = _bareiss(m)
+    _, pivots, d = _bareiss(m.to_rows(), m.cols)
     return d if len(pivots) == m.rows else 0
 
 
 def rank(m: IntMatrix) -> int:
     """Rank over Q."""
-    return len(_bareiss(m)[1])
+    return len(_bareiss(m.to_rows(), m.cols)[1])
 
 
-def _kernel_vectors(m: IntMatrix) -> tuple[list[int], int, Iterator[tuple[int, list[int]]]]:
-    """The pivot columns and d of ``_bareiss``, and an iterator that yields,
-    for each free column j in ascending order, j and the r pivot entries, in
-    pivot order, of the kernel vector that is d at j and 0 at the other free
-    columns (d times a kernel basis vector over Q), computed as they are read.
+def _kernel_vectors(rows: list[list[int]], ncols: int) -> tuple[list[int], int, Iterator[tuple[int, list[int]]]]:
+    """The pivot columns and d of ``_bareiss`` on the rows, in place, and a
+    generator that yields, for each free column j in ascending order, j and
+    the r pivot entries, in pivot order, of the kernel vector that is d at j
+    and 0 at the other free columns (d times a kernel basis vector over Q).
 
     Fraction-free back substitution (Nakos, Turner and Williams, ACM SIGSAM
-    Bull. 31, 1997) fills them from the last pivot row up; each pivot row is
-    zero left of its pivot, so x_p = -(row[j] d + sum over the later pivots q
-    of row[q] x_q) // row[p], O(r^2) per free column. By Cramer's rule each
-    entry is minus the pivot minor with its pivot column replaced by column
-    j, an integer, so every division is exact.
+    Bull. 31, 1997) fills them from the last pivot row up, with a table of
+    the pivot rows built once a vector is read: x_p = -(row[j] d + sum over
+    the later pivots q of row[q] x_q) // row[p], O(r^2) per free column. By
+    Cramer's rule each entry is minus the pivot minor with its pivot column
+    replaced by column j, an integer, so every division is exact.
     """
-    rows, pivots, d = _bareiss(m)
-    # Each pivot row, last first: its pivot, its entries at the later pivots (last first), the row.
-    back = [(row[p], [row[q] for q in pivots[:i:-1]], row) for i, (p, row) in enumerate(zip(pivots, rows))][::-1]
+    rows, pivots, d = _bareiss(rows, ncols)
 
-    def substitute(j: int) -> tuple[int, list[int]]:
-        x: list[int] = []  # entries at the pivots already filled, last first
-        for p, later, row in back:
-            x.append(-(row[j] * d + sum(map(mul, later, x))) // p)
-        return j, x[::-1]
+    def substitute() -> Iterator[tuple[int, list[int]]]:
+        # Each pivot row, last first: its pivot, its entries at the later pivots (last first), the row.
+        back = [(row[p], [row[q] for q in pivots[:i:-1]], row) for i, (p, row) in enumerate(zip(pivots, rows))][::-1]
+        for j in sorted(set(range(ncols)) - set(pivots)):
+            x: list[int] = []  # entries at the pivots already filled, last first
+            for p, later, row in back:
+                x.append(-(row[j] * d + sum(map(mul, later, x))) // p)
+            yield j, x[::-1]
 
-    free = sorted(set(range(m.cols)) - set(pivots))
-    return pivots, d, map(substitute, free)
+    return pivots, d, substitute()
 
 
 def _primitive(vec: Sequence) -> tuple[int, ...]:
@@ -292,7 +291,7 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     One vector per free column of the echelon form, ordered by free column
     index; each is scaled primitive with its first nonzero entry positive.
     """
-    pivots, d, kernel = _kernel_vectors(m)
+    pivots, d, kernel = _kernel_vectors(m.to_rows(), m.cols)
     vectors = ({**dict(zip(pivots, x)), j: d} for j, x in kernel)
     return [_primitive([v.get(c, 0) for c in range(m.cols)]) for v in vectors]
 
@@ -353,7 +352,8 @@ def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     factor gcd(p, D), and pairwise gcd/lcm steps order them into a chain, as
     diag(a, b) is equivalent to diag(gcd, lcm).
     """
-    pivots, d, kernel = _kernel_vectors(m.transpose() if m.rows > m.cols else m)
+    rows = list(map(list, map(m.column, range(m.cols)))) if m.rows > m.cols else m.to_rows()  # m^T's rows: m's columns
+    pivots, d, kernel = _kernel_vectors(rows, max(m.rows, m.cols))
     modulus = abs(d)
     for _, x in kernel:
         if modulus == 1:

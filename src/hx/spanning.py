@@ -14,7 +14,7 @@ the exponential blowup.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import EnumerationCapError, NotConnectedError
@@ -24,7 +24,7 @@ from .graphs import (
     spanning_subgraph_connected,
     _forest,
 )
-from .intlinalg import _kernel_vectors, _matrix
+from .intlinalg import _kernel_vectors
 
 DEFAULT_ENUMERATION_CAP = 16
 # Graphs kept by `tree_number` and `verify._cycletree_count_or_zero`, least
@@ -115,10 +115,14 @@ def _cycle_projection(vertex_count: int, edges, x: dict) -> tuple[int, tuple[int
             rows[a][a] += 1
             rows[a][b] -= 1
             rows[a][-1] += sign * x.get(e, 0)
-    n = vertex_count - 1
-    pivots, k, kernel = _kernel_vectors(_matrix(n, n + 1, tuple(chain.from_iterable(row[1:] for row in rows[1:]))))
-    if len(pivots) < n:
+    del rows[0]  # vertex 0's row and column go in place: the kernel eliminates these lists
+    for row in rows:
+        del row[0]
+    pivots, k, kernel = _kernel_vectors(rows, vertex_count)
+    if len(pivots) < vertex_count - 1:
         return 0, (0,) * len(edges)
+    if not x:  # k P 0 = 0: no kernel vector is read, so none is back-substituted
+        return k, (0,) * len(edges)
     ((_, y),) = kernel
     y.insert(0, 0)
     return k, tuple(k * x.get(e, 0) + y[h] - y[t] for e, (t, h) in enumerate(edges))

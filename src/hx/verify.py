@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterator, NamedTuple
 
-from .complexes import energy, harmonic_basis
+from .complexes import energy, harmonic_basis, laplacian
 from .errors import InternalError
 from .graphs import Multigraph, contract, corank, delete, is_connected, spanning_subgraph_connected
 from .intlinalg import IntMatrix, _from_columns, _kernel_vectors, _matrix, det, dot, mat_vec, rank
@@ -92,7 +92,7 @@ def _weighted_cycle_sum(edge_count: int, cycles, values) -> tuple[int, tuple[int
     """
     m = len(cycles)
     augmented = [[dot(u, v) for v in cycles] + [f] for u, f in zip(cycles, values)]
-    pivots, d, kernel = _kernel_vectors(_matrix(m, m + 1, tuple(x for row in augmented for x in row)))
+    pivots, d, kernel = _kernel_vectors(augmented, m + 1)
     if pivots != list(range(m)):
         raise InternalError(f"Gram matrix of the {m} cycles is singular: they are not a basis")
     ((_, x),) = kernel
@@ -154,7 +154,7 @@ def verify_harmonicity(a: Unicyclization) -> VerificationReport:
     incid = x.boundary(1)
     boundary_image = mat_vec(incid, lam)
     coboundary_image = mat_vec(a.partial.transpose(), lam)
-    laplacian_image = mat_vec(incid.transpose() @ incid + a.partial @ a.partial.transpose(), lam)
+    laplacian_image = mat_vec(laplacian(x, 1), lam)
     basis = harmonic_basis(x, 1)
     proportional = len(basis) == 1 and all(
         basis[0][i] * lam[j] == basis[0][j] * lam[i]

@@ -141,7 +141,7 @@ def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unic
     # m - 1 pivots of P^T, for P the coordinates, is axioms 1 and 3; check_axioms only names a failure.
     reading = None
     if partial.rows == g.edge_count and partial.cols == m - 1 and are_cycles(g, partial):
-        reading = _kernel_vectors(partial.select_rows(cycle_basis.non_tree_edges).transpose())
+        reading = _kernel_vectors([[col[e] for e in cycle_basis.non_tree_edges] for col in map(partial.column, range(partial.cols))], m)
     if reading is None or len(reading[0]) != m - 1:
         for axiom, ok, detail in check_axioms(g, partial):
             if not ok:
@@ -195,7 +195,7 @@ def face_lattice_basis(faces: IntMatrix) -> IntMatrix:
     Either way the torsion matches the homology of the complex with all the
     faces.
     """
-    kept, d, kernel = _kernel_vectors(faces)
+    kept, d, kernel = _kernel_vectors(faces.to_rows(), faces.cols)
     kept_faces = _from_columns([faces.column(c) for c in kept], faces.rows)
     r, modulus = len(kept), abs(d)
     reduced = ([-e % modulus for e in x] for _, x in kernel)

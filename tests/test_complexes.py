@@ -148,7 +148,7 @@ def seeded_complexes(count=300, seed=29):
 
 
 def integral_echelon(m):
-    _, d, kernel = _kernel_vectors(m)
+    _, d, kernel = _kernel_vectors(m.to_rows(), m.cols)
     return all(e % d == 0 for _, v in kernel for e in v)
 
 

@@ -106,10 +106,10 @@ def test_kernel_vectors_match_gauss_jordan():
         rows, pivots, d = gauss_jordan(m)
         r = len(pivots)
         deficient += r < min(m.rows, m.cols)
-        triangular, kernel_pivots, kernel_d = _bareiss(m)
+        triangular, kernel_pivots, kernel_d = _bareiss(m.to_rows(), m.cols)
         assert (kernel_pivots, kernel_d) == (pivots, d)
         assert all(not any(row) for row in triangular[r:])
-        kernel_pivots, kernel_d, kernel = _kernel_vectors(m)
+        kernel_pivots, kernel_d, kernel = _kernel_vectors(m.to_rows(), m.cols)
         kernel = dict(kernel)
         assert (kernel_pivots, kernel_d) == (pivots, d)
         assert list(kernel) == [j for j in range(m.cols) if j not in pivots]
@@ -156,7 +156,7 @@ def greedy_independent_columns(m: IntMatrix) -> IntMatrix:
 
 
 def pivot_columns(m: IntMatrix) -> IntMatrix:
-    return IntMatrix.from_columns([m.column(c) for c in _bareiss(m)[1]], rows=m.rows)
+    return IntMatrix.from_columns([m.column(c) for c in _bareiss(m.to_rows(), m.cols)[1]], rows=m.rows)
 
 
 def test_select_independent_columns_matches_greedy_rank_loop():
@@ -381,16 +381,16 @@ def structured_matrices(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.one_of(structured_matrices(), integer_matrices()))
 def test_lazy_scaling_matches_dense_bareiss(m):
-    assert _bareiss(m) == dense_bareiss(m)
+    assert _bareiss(m.to_rows(), m.cols) == dense_bareiss(m)
 
 
 def test_lazy_scaling_swaps_in_a_stale_row():
     # Step 0 updates row 1 to [0, 0, 8] and leaves row 2 at scale 1 below the
     # pivot 2, so column 1 swaps in row 2, which is scaled before it is used.
     m = IntMatrix.from_rows([[2, 2, 1], [2, 2, 5], [0, 3, 1]])
-    assert _bareiss(m) == dense_bareiss(m) == ([[2, 2, 1], [0, -6, -2], [0, 0, -24]], [0, 1, 2], -24)
+    assert _bareiss(m.to_rows(), m.cols) == dense_bareiss(m) == ([[2, 2, 1], [0, -6, -2], [0, 0, -24]], [0, 1, 2], -24)
     for m in kernel_matrices(random.Random(1995)):
-        assert _bareiss(m) == dense_bareiss(m)
+        assert _bareiss(m.to_rows(), m.cols) == dense_bareiss(m)
 
 
 def test_tree_number_counts_the_trees_of_the_acceptance_family():

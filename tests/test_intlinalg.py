@@ -164,7 +164,7 @@ def test_echelon_final_pivot_is_signed_determinant():
         if det(m) == 0:
             continue
         swapped += m[0, 0] == 0
-        _, pivots, d = _bareiss(m)
+        _, pivots, d = _bareiss(m.to_rows(), m.cols)
         assert pivots == list(range(n))
         assert d == det(m) == perm_det(m)
     assert swapped > 50

@@ -20,6 +20,7 @@ from hx.spanning import (
     unique_cycle,
 )
 from hx.verify import _cycletree_count_or_zero, connected_multigraphs
+from hx.winding import new_unicyclization
 
 THETA = Multigraph(2, ((0, 1), (0, 1), (0, 1)))
 
@@ -259,6 +260,30 @@ def test_long_lived_loop_retains_one_graphs_enumeration():
     finally:
         tracemalloc.stop()
     assert retained < 2 * one_graph
+
+
+@pytest.mark.parametrize(
+    "call, bound_mib",
+    [
+        (tree_number, 16),
+        (lambda g: new_unicyclization(g, IntMatrix.zero(g.edge_count, 0)), 20),
+    ],
+    ids=["tree_number", "new_unicyclization"],
+)
+def test_the_largest_cycle_is_eliminated_in_one_dense_copy(call, bound_mib):
+    # The cycle with 2^10 edges, the most a document may declare: [L_0 | D x]
+    # is 1,023 lists of 1,024 ints, 8 MiB of pointers, eliminated in place. A
+    # flattened matrix and the rows rebuilt from it would hold three such
+    # copies at once, about 29 MiB at the peak.
+    g = cycle_graph(1024)
+    tree_number.cache_clear()
+    tracemalloc.start()
+    try:
+        call(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 def test_cycletrees_share_their_cycles():
