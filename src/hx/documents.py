@@ -43,13 +43,13 @@ MAX_EDGES = 1 << 10
 # takes 0.2 s and 57 MB for `--dim 0` or `--dim 1` (same host).
 MAX_INCIDENCE_ENTRIES = 1 << 22
 # Largest product of the edge count and the column count of the unicyclizer
-# or the faces. A valid unicyclizer has fewer columns than edges, so every one
-# within MAX_EDGES is admitted; the columns are counted before any is read.
-# At the limit, 2^18 four-entry face or unicyclizer columns with one-digit
-# entries (a 4.0 MB document), `validate` takes up to 2.9 s and 85 MB and
-# `homology --dim 1` 3.8 s and 90 MB (medians of 3, same host): each column is
-# checked in bulk, elimination keeps the rows and back substitution only the
-# pivot entries of the column it is reading.
+# or the faces, counting an empty column as one entry; a valid unicyclizer has
+# fewer columns than edges, so every one within MAX_EDGES is admitted. The
+# columns are counted before any is read. The worst case found within this and
+# MAX_DOCUMENT_BYTES, one loop with 10^6 one-entry columns (4.0 MB), takes
+# 4.2 s and 199 MB under `validate` (best of 3, same host); 2^20 empty columns
+# take 2.5 s and 174 MB. Columns are checked in bulk, elimination keeps the rows
+# and back substitution only the pivot entries of the column it is reading.
 MAX_COLUMN_ENTRIES = 1 << 20
 # Largest size of a document in bytes, checked before it is decoded; the
 # worst case at MAX_COLUMN_ENTRIES fits. A JSON container decodes to a Python
@@ -86,10 +86,9 @@ def _expect_entry(value, where: str) -> int:
 def _parse_columns(raw, edge_count: int, where: str) -> IntMatrix:
     if not isinstance(raw, list):
         raise DocumentError(f"{where}: expected a list of columns")
-    if edge_count * len(raw) > MAX_COLUMN_ENTRIES:
-        raise DocumentError(
-            f"{where}: {edge_count} edges x {len(raw)} columns is above the limit of {MAX_COLUMN_ENTRIES} entries"
-        )
+    entries = max(edge_count, 1) * len(raw)  # an empty column counts as one entry
+    if entries > MAX_COLUMN_ENTRIES:
+        raise DocumentError(f"{where}: {len(raw)} columns count as {entries} entries, above the limit of {MAX_COLUMN_ENTRIES}")
     columns = []
     for idx, col in enumerate(raw):
         if not isinstance(col, list):
@@ -155,10 +154,10 @@ def document_from_obj(obj) -> ComplexDocument:
                 raise DocumentError(f"basis_tree[{i}]: edge id {e} out of range")
         if len(set(ids)) != len(ids):
             raise DocumentError("basis_tree: duplicate edge ids")
-        from .spanning import fundamental_basis
+        from .spanning import _cotree
 
         try:
-            fundamental_basis(Multigraph(vertices, tuple(edges)), ids)
+            _cotree(Multigraph(vertices, tuple(edges)), ids)
         except ValueError as exc:
             raise DocumentError(f"basis_tree: {exc}") from exc
         basis_tree = tuple(sorted(ids))

@@ -211,13 +211,9 @@ def _tree_cycle(g: Multigraph, up: list, edge: int) -> list[int]:
     return coeffs
 
 
-def fundamental_basis(g: Multigraph, tree) -> CycleBasis:
-    """Fundamental cycles of the non-tree edges, in increasing edge id.
-
-    One traversal roots the tree, see ``_root``; it also proves that the
-    V - 1 tree edges span, since it must reach every vertex, so no separate
-    connectivity check is made. Each cycle is then a walk up the tree.
-    """
+def _cotree(g: Multigraph, tree) -> tuple[tuple[int, ...], list]:
+    """The non-tree edges in increasing id, and the tree rooted by ``_root``, whose one traversal
+    proves that the V - 1 tree edges span; ValueError when they are not a spanning tree."""
     tree = frozenset(tree)
     for e in tree:
         g.check_edge(e)
@@ -225,6 +221,11 @@ def fundamental_basis(g: Multigraph, tree) -> CycleBasis:
     up = _root(g, tree) if len(tree) == g.vertex_count - 1 else None
     if up is None:
         raise ValueError("edge set is not a spanning tree")
-    non_tree = tuple(e for e in range(g.edge_count) if e not in tree)
+    return tuple(e for e in range(g.edge_count) if e not in tree), up
+
+
+def fundamental_basis(g: Multigraph, tree) -> CycleBasis:
+    """Fundamental cycles of the non-tree edges, in increasing edge id: walks up the tree ``_cotree`` roots."""
+    non_tree, up = _cotree(g, tree)
     cycles = tuple(tuple(_tree_cycle(g, up, e)) for e in non_tree)
     return CycleBasis(non_tree_edges=non_tree, cycles=cycles)

@@ -58,10 +58,15 @@ def describe_instance(a: Unicyclization) -> str:
     return f"{describe_graph(a.graph)} unicyclizer={[list(a.partial.column(j)) for j in range(a.partial.cols)]}"
 
 
-def _random_cycle(rng: random.Random, a: Unicyclization) -> tuple[int, ...]:
-    coeffs = [rng.randint(-3, 3) for _ in a.basis]
-    total = [0] * a.graph.edge_count
-    for c, z in zip(coeffs, a.basis):
+def basis_cycles(a: Unicyclization) -> tuple[tuple[int, ...], ...]:
+    """The fundamental cycles at ``a.non_tree_edges``, in order: the instance's basis, built on each call."""
+    return fundamental_basis(a.graph, set(range(a.graph.edge_count)).difference(a.non_tree_edges)).cycles
+
+
+def _random_cycle(rng: random.Random, cycles) -> tuple[int, ...]:
+    coeffs = [rng.randint(-3, 3) for _ in cycles]
+    total = [0] * len(cycles[0])
+    for c, z in zip(coeffs, cycles):
         if c:
             total = [t + c * v for t, v in zip(total, z)]
     return tuple(total)
@@ -136,10 +141,11 @@ def verify_inner_product(
     """
     rng = random.Random(seed)
     probes = [(f"cycletree[{i}]", ct.cycle) for i, ct in enumerate(cycletrees(a.graph, cap))]
-    probes += [(f"basis[{i}]", z) for i, z in enumerate(a.basis)]
-    probes += [(f"random[{t}]", _random_cycle(rng, a)) for t in range(trials)]
+    cycles = basis_cycles(a)
+    probes += [(f"basis[{i}]", z) for i, z in enumerate(cycles)]
+    probes += [(f"random[{t}]", _random_cycle(rng, cycles)) for t in range(trials)]
     lam = standard_harmonic_cycle(a)
-    k, _ = _weighted_cycle_sum(a.graph.edge_count, a.basis, a.covector)
+    k, _ = _weighted_cycle_sum(a.graph.edge_count, cycles, a.covector)
     checks = []
     for (name, cycle), w in zip(probes, determinant_windings(a, [z for _, z in probes])):
         lhs, rhs = dot(cycle, lam), w * k

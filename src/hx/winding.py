@@ -48,6 +48,7 @@ from .spanning import (
     fundamental_basis,
     lexmin_spanning_tree,
     tree_number,
+    _cotree,
     _cycle_projection,
 )
 
@@ -61,44 +62,47 @@ if TYPE_CHECKING:
 class Unicyclization(
     namedtuple(
         "Unicyclization",
-        "graph partial basis non_tree_edges orientation tree_count covector torsion_order standard_cycle",
+        "graph partial non_tree_edges orientation tree_count covector standard_cycle",
     )
 ):
-    """A validated (graph, unicyclizer) pair with its derived data.
+    """A validated (graph, unicyclizer) pair with what later calls read.
 
-    ``basis`` is the fundamental basis of a spanning tree of ``graph``, so
-    the coordinates of a cycle are its coefficients at ``non_tree_edges``.
-    The winding of a cycle z is the determinant det[coords(z) | P] against
-    the unicyclizer's coordinates P, times ``orientation`` (+1 or -1). Any
-    two Z-bases of the cycle lattice differ by a change of determinant +-1,
-    so contraction and deletion re-base onto a tree of the new graph and
-    record the sign here. That determinant is linear in z, so it is stored
-    as ``covector``, c_i = w(b_i) with the orientation folded in: every
-    winding is c . coords(z). Expanding det[e_i | P] along its first column,
-    c_i is +-P's maximal minor without row i, so all of c is read off one
-    elimination of P^T, and the gcd of c is ``torsion_order``. Placed at the
-    non-tree edges, c is a chain whose inner product with each cycle is its
-    winding, and one more elimination, of the reduced Laplacian next to its
-    boundary, gives ``tree_count`` and the standard harmonic cycle
-    ``standard_cycle``, see ``spanning._cycle_projection``. An instance is
-    compared and hashed as the tuple of these fields.
+    ``non_tree_edges`` are the edges outside a spanning tree of ``graph``, in
+    increasing id: a cycle's coefficients there are its coordinates in the
+    tree's fundamental basis, which ``verify.basis_cycles`` builds. The winding
+    of a cycle z is the determinant det[coords(z) | P] against the
+    unicyclizer's coordinates P, times ``orientation`` (+1 or -1). Any two
+    Z-bases of the cycle lattice differ by a change of determinant +-1, so
+    contraction and deletion re-base onto a tree of the new graph and record
+    the sign here. That determinant is linear in z, so it is stored as
+    ``covector``, c_i = w(b_i) with the orientation folded in: every winding is
+    c . coords(z). Expanding det[e_i | P] along its first column, c_i is +-P's
+    maximal minor without row i, so all of c is read off one elimination of
+    P^T, and ``torsion_order`` is the gcd of c. Placed at the non-tree edges, c
+    is a chain whose inner product with each cycle is its winding, and one more
+    elimination, of the reduced Laplacian next to its boundary, gives
+    ``tree_count`` and the standard harmonic cycle ``standard_cycle``, see
+    ``spanning._cycle_projection``. An instance is compared and hashed as the
+    tuple of these fields.
     """
 
     __slots__ = ()
 
     graph: Multigraph
     partial: IntMatrix
-    basis: tuple[tuple[int, ...], ...]
     non_tree_edges: tuple[int, ...]
     orientation: int
     tree_count: int
     covector: tuple[int, ...]
-    torsion_order: int
     standard_cycle: tuple[int, ...]
 
     @property
     def cycle_rank(self) -> int:
-        return len(self.basis)
+        return len(self.non_tree_edges)
+
+    @property
+    def torsion_order(self) -> int:
+        return gcd_of_vector(self.covector)
 
     def complex(self) -> ChainComplex:
         """The two-step chain complex (vertices, edges, unicyclizer columns)."""
@@ -135,13 +139,13 @@ def check_axioms(g: Multigraph, partial: IntMatrix) -> list[tuple[int, bool, str
 
 
 def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unicyclization:
-    cycle_basis = fundamental_basis(g, tree)
-    m = len(cycle_basis.cycles)
+    non_tree_edges, _ = _cotree(g, tree)
+    m = len(non_tree_edges)
     # Once the columns are cycles, reading coordinates at the non-tree edges is injective on them, so
     # m - 1 pivots of P^T, for P the coordinates, is axioms 1 and 3; check_axioms only names a failure.
     reading = None
     if partial.rows == g.edge_count and partial.cols == m - 1 and are_cycles(g, partial):
-        reading = _kernel_vectors([[col[e] for e in cycle_basis.non_tree_edges] for col in map(partial.column, range(partial.cols))], m)
+        reading = _kernel_vectors([[col[e] for e in non_tree_edges] for col in map(partial.column, range(partial.cols))], m)
     if reading is None or len(reading[0]) != m - 1:
         for axiom, ok, detail in check_axioms(g, partial):
             if not ok:
@@ -155,23 +159,13 @@ def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unic
     v.insert(f, d)  # v held the entries at the pivot columns, every column but f
     sign = orientation * (-1) ** f
     covector = tuple(sign * x for x in v)
-    x = dict(zip(cycle_basis.non_tree_edges, covector))  # a chain whose product with a cycle is its winding
+    x = dict(zip(non_tree_edges, covector))  # a chain whose product with a cycle is its winding
     tree_count, standard_cycle = _cycle_projection(g.vertex_count, g.edges, x)
-    return Unicyclization(
-        graph=g,
-        partial=partial,
-        basis=cycle_basis.cycles,
-        non_tree_edges=cycle_basis.non_tree_edges,
-        orientation=orientation,
-        tree_count=tree_count,
-        covector=covector,
-        torsion_order=gcd_of_vector(v),
-        standard_cycle=standard_cycle,
-    )
+    return Unicyclization(g, partial, non_tree_edges, orientation, tree_count, covector, standard_cycle)
 
 
 def new_unicyclization(g: Multigraph, partial: IntMatrix, basis_tree=None) -> Unicyclization:
-    """Validate a unicyclizer and attach the fundamental basis of a tree.
+    """Validate a unicyclizer and read its coordinates at the edges outside a tree.
 
     By default the basis tree is the lexicographically smallest spanning
     tree, making all derived outputs reproducible.
@@ -251,7 +245,7 @@ def from_cw(x: ChainComplex) -> Unicyclization:
 
 
 def cycle_coordinates(a: Unicyclization, chain: Sequence[int]) -> tuple[int, ...]:
-    """Coordinates of an integer cycle in the stored basis: its coefficients at the non-tree edges."""
+    """Coordinates of an integer cycle in the instance's basis: its coefficients at the non-tree edges."""
     g = a.graph
     if len(chain) != g.edge_count:
         raise DimensionError(f"chain length {len(chain)} != {g.edge_count} edges")
@@ -275,8 +269,8 @@ def torsion(a: Unicyclization) -> tuple[int, tuple[int, ...]]:
     torsion order is their product, so the Smith form runs modulo it, and
     a torsion-free instance needs no elimination.
     """
-    coordinates = a.partial.select_rows(a.non_tree_edges)
-    return a.torsion_order, _smith_modulo(coordinates, a.cycle_rank - 1, a.torsion_order)
+    order = a.torsion_order
+    return order, _smith_modulo(a.partial.select_rows(a.non_tree_edges), a.cycle_rank - 1, order)
 
 
 def _covector_winding(a: Unicyclization, cycle: Sequence[int]) -> int:
@@ -380,7 +374,7 @@ def contract_unicyclization(a: Unicyclization, edge: int) -> Unicyclization:
 
 
 def _basis_change_sign(a: Unicyclization, cycles) -> int:
-    """Determinant of the cycles' coordinates in the stored basis, which is +-1 for a Z-basis."""
+    """Determinant of the cycles' coordinates in the instance's basis, which is +-1 for a Z-basis."""
     sign = det(_from_columns([[z[e] for e in a.non_tree_edges] for z in cycles], a.cycle_rank))
     if sign not in (1, -1):
         raise InternalError(f"change of cycle basis has determinant {sign}, expected +-1")

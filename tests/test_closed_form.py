@@ -14,10 +14,10 @@ from sympy.matrices.normalforms import smith_normal_form
 from hx import complexes, intlinalg, spanning, verify, winding
 from hx.cli import main
 from hx.errors import InternalError
-from hx.graphs import Multigraph, delete, is_connected
+from hx.graphs import Multigraph, _forest, delete, is_connected
 from hx.intlinalg import IntMatrix, det, dot, rank
 from hx.spanning import cycletrees, fundamental_basis, lexmin_spanning_tree, tree_number
-from hx.verify import cycletree_split, cycletree_sum, determinant_windings, exhaustive_family
+from hx.verify import basis_cycles, cycletree_split, cycletree_sum, determinant_windings, exhaustive_family
 from hx.winding import (
     contract_unicyclization,
     cycletree_windings,
@@ -33,7 +33,8 @@ from hx.winding import (
 
 
 def gram_det(a):
-    return det(IntMatrix.from_columns([[dot(u, v) for v in a.basis] for u in a.basis], rows=a.cycle_rank))
+    cycles = basis_cycles(a)
+    return det(IntMatrix.from_columns([[dot(u, v) for v in cycles] for u in cycles], rows=a.cycle_rank))
 
 
 def assert_matches_oracle(a):
@@ -63,7 +64,7 @@ def random_unicyclizer(g, rng_entries):
 def contract_checked(a, edge):
     """Contract the edge; every parent basis cycle keeps its winding after transport."""
     contracted = contract_unicyclization(a, edge)
-    for z in a.basis:
+    for z in basis_cycles(a):
         assert winding_number(contracted, z[:edge] + z[edge + 1 :]) == winding_number(a, z)
     return contracted
 
@@ -71,7 +72,7 @@ def contract_checked(a, edge):
 def delete_checked(a, edge):
     """Delete the edge; each basis cycle downstairs, lifted with 0 at the edge, winds n times as much upstairs."""
     smaller, n = delete_unicyclization(a, edge)
-    for z in smaller.basis:
+    for z in basis_cycles(smaller):
         assert winding_number(a, z[:edge] + (0,) + z[edge:]) == n * winding_number(smaller, z)
     return smaller
 
@@ -93,9 +94,15 @@ def test_family_contractions_and_deletions_match_oracle():
     assert orientations == {1, -1}
 
 
+def drawn_tree(draw, g):
+    """The greedy spanning forest of a drawn edge order: a spanning tree, the lexmin one only by chance."""
+    order = draw(st.permutations(range(g.edge_count)))
+    return [order[i] for i in _forest(g.vertex_count, [g.edges[e] for e in order])]
+
+
 @st.composite
 def unicyclized_multigraphs(draw):
-    """Connected multigraphs with 5 to 16 edges, loops and parallel edges allowed."""
+    """Connected multigraphs with 5 to 16 edges, loops and parallel edges allowed, on a drawn basis tree."""
     n = draw(st.integers(1, 8))
     edge_count = draw(st.integers(max(5, n), 16))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
@@ -104,7 +111,7 @@ def unicyclized_multigraphs(draw):
     g = Multigraph(n, tuple(edges))
     partial = random_unicyclizer(g, lambda size: draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)))
     assume(partial is not None)
-    return new_unicyclization(g, partial)
+    return new_unicyclization(g, partial, basis_tree=drawn_tree(draw, g))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -115,19 +122,19 @@ def test_random_multigraphs_match_oracle(a):
 
 @st.composite
 def unicyclized_circulants(draw):
-    """Circulants (i, i+1), (i, i+2) mod n with up to 30 edges, coordinates up to +-9 or +-2^40."""
+    """Circulants (i, i+1), (i, i+2) mod n with up to 30 edges, coordinates up to +-9 or +-2^40, on a drawn basis tree."""
     n = draw(st.integers(2, 15))
     bound = draw(st.sampled_from((9, 2**40)))
     g = Multigraph(n, tuple(e for i in range(n) for e in ((i, (i + 1) % n), (i, (i + 2) % n))))
     partial = random_unicyclizer(g, lambda size: draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size)))
     assume(partial is not None)
-    return new_unicyclization(g, partial)
+    return new_unicyclization(g, partial, basis_tree=drawn_tree(draw, g))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.one_of(unicyclized_multigraphs(), unicyclized_circulants()))
 def test_covector_matches_determinant_windings(a):
-    assert list(a.covector) == determinant_windings(a, a.basis)
+    assert list(a.covector) == determinant_windings(a, basis_cycles(a))
     assert a.torsion_order == math.gcd(*a.covector)
     # The covector gcd is an oracle for the Smith diagonal, which runs modulo
     # a maximal minor that can be far larger than the torsion order.
@@ -270,7 +277,7 @@ def gram_split(a, edge):
 
 def assert_matches_gram_oracle(a):
     """(k, lambda) and the split at every edge against the Gram oracle."""
-    assert (a.tree_count, a.standard_cycle) == verify._weighted_cycle_sum(a.graph.edge_count, a.basis, a.covector)
+    assert (a.tree_count, a.standard_cycle) == verify._weighted_cycle_sum(a.graph.edge_count, basis_cycles(a), a.covector)
     for edge in range(a.graph.edge_count):
         assert split_standard_cycle(a, edge) == gram_split(a, edge)
 
@@ -384,7 +391,7 @@ def test_cli_past_the_enumeration_cap(tmp_path, capsys):
     lam, k = out["lambda"], out["k"]
     a = new_unicyclization(g, partial)
     assert k == a.tree_count
-    for z in a.basis:
+    for z in basis_cycles(a):
         assert dot(z, lam) == k * winding_number(a, z)
 
     chain = [1] + [0] * (len(edges) - 1)

@@ -13,6 +13,7 @@ from hx.verify import (
     DEFAULT_SEED,
     _cycletree_count_or_zero,
     _random_cycle,
+    basis_cycles,
     connected_multigraphs,
     exhaustive_family,
     verify_counts,
@@ -91,7 +92,8 @@ def test_inner_product_reports_are_pinned():
 def test_inner_product_takes_one_determinant_per_distinct_cycle(monkeypatch):
     a = circulant_instance(6, 12)
     rng = random.Random(DEFAULT_SEED)
-    probes = [ct.cycle for ct in cycletrees(a.graph)] + list(a.basis) + [_random_cycle(rng, a) for _ in range(50)]
+    cycles = basis_cycles(a)
+    probes = [ct.cycle for ct in cycletrees(a.graph)] + list(cycles) + [_random_cycle(rng, cycles) for _ in range(50)]
     calls = []
     determinant = verify.det
     monkeypatch.setattr(verify, "det", lambda m: calls.append(m) or determinant(m))

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from hx.complexes import complex_from_boundaries, harmonic_basis
+from hx.complexes import complex_from_boundaries, harmonic_basis, homology_group
 from hx.errors import DimensionError, EnumerationCapError, UnicyclizerAxiomError
 from hx.graphs import Multigraph, contract_edges, delete, incidence_matrix, is_connected
 from hx.intlinalg import IntMatrix, dot, gcd_of_vector, mat_vec
 from hx.spanning import cycletrees, spanning_trees, tree_number
-from hx.verify import cycletree_sum, exhaustive_family
+from hx.verify import basis_cycles, cycletree_sum, exhaustive_family, verify_harmonicity, verify_inner_product
 from hx.winding import (
     check_axioms,
     contract_unicyclization,
@@ -106,7 +106,7 @@ def test_winding_vanishes_on_unicyclizer_image():
 
 def test_winding_image_gcd_is_torsion_order():
     for a in small_family(per_graph=4):
-        image_gcd = gcd_of_vector([winding_number(a, z) for z in a.basis])
+        image_gcd = gcd_of_vector([winding_number(a, z) for z in basis_cycles(a)])
         assert image_gcd == a.torsion_order
 
 
@@ -185,7 +185,7 @@ def test_contract_preserves_windings():
     a = theta_instance()
     contracted = contract_unicyclization(a, 0)
     assert contracted.graph == Multigraph(1, ((0, 0), (0, 0)))
-    for z in a.basis:
+    for z in basis_cycles(a):
         transported = tuple(c for e, c in enumerate(z) if e != 0)
         assert winding_number(a, z) == winding_number(contracted, transported)
 
@@ -195,7 +195,7 @@ def test_contract_bridge_preserves_windings():
     a = new_unicyclization(g, IntMatrix.zero(4, 0))
     assert not is_connected(delete(g, 3)[0])
     contracted = contract_unicyclization(a, 3)
-    for z in a.basis:
+    for z in basis_cycles(a):
         transported = tuple(c for e, c in enumerate(z) if e != 3)
         assert winding_number(a, z) == winding_number(contracted, transported)
 
@@ -228,13 +228,14 @@ def test_delete_rejects_zero_row():
 def test_delete_relation_on_family():
     for a in small_family(per_graph=3, seed=101):
         g = a.graph
+        cycles = basis_cycles(a)
         for edge in range(g.edge_count):
             n = winding_difference(a, edge)
             if n == 0:
                 continue
             smaller, n2 = delete_unicyclization(a, edge)
             assert n2 == n
-            for z in a.basis:
+            for z in cycles:
                 if z[edge] != 0:
                     continue
                 transported = tuple(c for e, c in enumerate(z) if e != edge)
@@ -253,7 +254,7 @@ def test_basis_change_flips_by_one_global_sign():
             lam2 = standard_harmonic_cycle(other)
             assert lam2 in (lam, tuple(-c for c in lam))
             sign = 1 if lam2 == lam else -1
-            for z in a.basis:
+            for z in basis_cycles(a):
                 assert winding_number(other, z) == sign * winding_number(a, z)
 
 
@@ -289,10 +290,11 @@ def test_winding_report_values():
 def test_winding_report_cycles_lie_in_torsion_multiples():
     rng = random.Random(8)
     for a in small_family(per_graph=2, seed=77):
+        cycles = basis_cycles(a)
         for _ in range(5):
-            coeffs = [rng.randint(-3, 3) for _ in a.basis]
+            coeffs = [rng.randint(-3, 3) for _ in cycles]
             z = [0] * a.graph.edge_count
-            for c, b in zip(coeffs, a.basis):
+            for c, b in zip(coeffs, cycles):
                 for e, v in enumerate(b):
                     z[e] += c * v
             report = winding_report(a, tuple(z))
@@ -310,15 +312,17 @@ def test_cycle_coordinates_standard_on_basis():
     # Exercises fresh instances and (via contraction, which re-bases onto a
     # tree of the contracted graph) contracted ones.
     for a in small_family(per_graph=2, seed=9):
-        for i, z in enumerate(a.basis):
-            expected = tuple(1 if j == i else 0 for j in range(len(a.basis)))
+        cycles = basis_cycles(a)
+        for i, z in enumerate(cycles):
+            expected = tuple(1 if j == i else 0 for j in range(len(cycles)))
             assert cycle_coordinates(a, z) == expected
         non_loops = [e for e in range(a.graph.edge_count) if not a.graph.is_loop(e)]
         if not non_loops:
             continue
         contracted = contract_unicyclization(a, non_loops[0])
-        for i, z in enumerate(contracted.basis):
-            expected = tuple(1 if j == i else 0 for j in range(len(contracted.basis)))
+        cycles = basis_cycles(contracted)
+        for i, z in enumerate(cycles):
+            expected = tuple(1 if j == i else 0 for j in range(len(cycles)))
             assert cycle_coordinates(contracted, z) == expected
 
 
@@ -408,6 +412,60 @@ def test_from_cw_rejects_ambiguous_loop():
     bad = complex_from_boundaries(IntMatrix.zero(2, 1))
     with pytest.raises(ValueError):
         from_cw(bad)
+
+
+def band_complex(n, k, twist):
+    """A band of n squares around and k across, each cut into two triangles,
+    with the boundary circles as chains.
+
+    Vertex (i, j) is i(k+1)+j for i mod n and j in 0..k; the Moebius band
+    glues (n, j) to (0, k - j) instead of (0, j). Edges are the radial
+    (i, j)->(i, j+1), then the around (i, j)->(i+1, j), then the diagonal
+    (i, j)->(i+1, j+1); each square p, q, r, s = (i, j), (i+1, j),
+    (i+1, j+1), (i, j+1) gives the faces p->q->r->p and p->r->s->p.
+    """
+
+    def vertex(i, j):
+        if i == n:
+            i, j = 0, (k - j if twist else j)
+        return i * (k + 1) + j
+
+    edges = [(vertex(i, j), vertex(i, j + 1)) for i in range(n) for j in range(k)]
+    edges += [(vertex(i, j), vertex(i + 1, j)) for i in range(n) for j in range(k + 1)]
+    edges += [(vertex(i, j), vertex(i + 1, j + 1)) for i in range(n) for j in range(k)]
+    assert len({frozenset(e) for e in edges}) == len(edges)  # a path step names one edge
+    index = {e: idx for idx, e in enumerate(edges)}
+
+    def chain(*path):
+        col = [0] * len(edges)
+        for u, v in zip(path, path[1:] + path[:1]):
+            if (u, v) in index:
+                col[index[u, v]] += 1
+            else:
+                col[index[v, u]] -= 1
+        return col
+
+    faces = []
+    for i in range(n):
+        for j in range(k):
+            p, q, r, s = vertex(i, j), vertex(i + 1, j), vertex(i + 1, j + 1), vertex(i, j + 1)
+            faces += [chain(p, q, r), chain(p, r, s)]
+    g = Multigraph(n * (k + 1), tuple(edges))
+    x = complex_from_boundaries(incidence_matrix(g), IntMatrix.from_columns(faces, rows=len(edges)))
+    if twist:  # one circle: around at j = 0, then around at j = k
+        return x, [chain(*[vertex(i, 0) for i in range(n)] + [vertex(i, k) for i in range(n)])]
+    return x, [chain(*(vertex(i, j) for i in range(n))) for j in (0, k)]
+
+
+@pytest.mark.parametrize("twist, rim_windings", [(False, [1, 1]), (True, [2])], ids=["annulus", "moebius"])
+def test_from_cw_bands_match_the_oracles(twist, rim_windings):
+    x, rims = band_complex(3, 1, twist)
+    a = from_cw(x)
+    assert a.graph.edge_count == 12 and a.cycle_rank == 7
+    assert standard_harmonic_cycle(a) == cycletree_sum(a)
+    assert verify_harmonicity(a).overall and verify_inner_product(a).overall
+    assert homology_group(x, 1) == (1, ())
+    assert [abs(winding_number(a, rim)) for rim in rims] == rim_windings
 
 
 def test_select_independent_columns():
