@@ -75,15 +75,15 @@ def _rational(value) -> str:
 def _cmd_validate(doc, args) -> tuple[dict, int]:
     from .documents import build_graph, unicyclizer_columns
     from .graphs import corank
-    from .winding import AXIOMS_HOLD, check_axioms, new_unicyclization
+    from .winding import AXIOMS_HOLD, new_unicyclization
 
     g = build_graph(doc)
     cycle_rank = corank(g)  # refuses a disconnected graph before the faces are reduced
     partial = unicyclizer_columns(doc)
-    try:  # a successful build proves all three axioms; only a failed one has them evaluated
+    try:  # a successful build proves all three axioms; only a failed one has them evaluated, once
         a, axioms = new_unicyclization(g, partial, basis_tree=doc.basis_tree), AXIOMS_HOLD
-    except UnicyclizerAxiomError:
-        a, axioms = None, check_axioms(g, partial)
+    except UnicyclizerAxiomError as exc:
+        a, axioms = None, exc.axioms
     payload = {
         "valid": a is not None,
         "axioms": [{"axiom": n, "ok": ok, "detail": detail} for n, ok, detail in axioms],

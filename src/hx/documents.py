@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DocumentError
 from .graphs import Multigraph
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _from_columns
 
 if TYPE_CHECKING:
     from .winding import Unicyclization
@@ -100,7 +100,7 @@ def _parse_columns(raw, edge_count: int, where: str) -> IntMatrix:
             for i, x in enumerate(col):
                 _expect_entry(x, f"{where}[{idx}][{i}]")
         columns.append(col)
-    return IntMatrix.from_columns(columns, rows=edge_count)
+    return _from_columns(columns, edge_count)  # every length and entry is checked above
 
 
 def document_from_obj(obj) -> ComplexDocument:

@@ -18,12 +18,15 @@ class UnicyclizerAxiomError(ValueError):
 
     The ``axiom`` attribute identifies which one: 1 (columns not linearly
     independent), 2 (incidence times unicyclizer is nonzero), or 3 (the
-    cycle-space quotient does not have rank one).
+    cycle-space quotient does not have rank one). ``axioms`` holds the
+    evaluation of all three that named it, as ``winding.check_axioms``
+    returns it, when the raiser made one.
     """
 
-    def __init__(self, axiom: int, message: str):
+    def __init__(self, axiom: int, message: str, axioms: list | None = None):
         super().__init__(message)
         self.axiom = axiom
+        self.axioms = axioms
 
 
 class DocumentError(ValueError):

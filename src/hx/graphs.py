@@ -59,7 +59,6 @@ class EdgeRelabeling(NamedTuple):
     edges: dict[int, int]
     vertices: dict[int, int]
     new_edge_count: int
-    new_vertex_count: int
 
     def transport_chain(self, chain: Sequence) -> tuple:
         """Re-index a 1-chain, dropping coefficients of removed edges."""
@@ -160,7 +159,6 @@ def delete(g: Multigraph, edge: int) -> tuple[Multigraph, EdgeRelabeling]:
         edges=edge_map,
         vertices={v: v for v in range(g.vertex_count)},
         new_edge_count=g.edge_count - 1,
-        new_vertex_count=g.vertex_count,
     )
     return Multigraph(g.vertex_count, new_edges), relabeling
 
@@ -204,7 +202,6 @@ def contract_edges(g: Multigraph, edge_ids) -> tuple[Multigraph, EdgeRelabeling]
         edges=edge_map,
         vertices=vertex_map,
         new_edge_count=len(new_edges),
-        new_vertex_count=len(reps),
     )
     return Multigraph(len(reps), tuple(new_edges)), relabeling
 

@@ -147,9 +147,10 @@ def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unic
     if partial.rows == g.edge_count and partial.cols == m - 1 and are_cycles(g, partial):
         reading = _kernel_vectors([[col[e] for e in non_tree_edges] for col in map(partial.column, range(partial.cols))], m)
     if reading is None or len(reading[0]) != m - 1:
-        for axiom, ok, detail in check_axioms(g, partial):
+        axioms = check_axioms(g, partial)
+        for axiom, ok, detail in axioms:
             if not ok:
-                raise UnicyclizerAxiomError(axiom, f"unicyclizer axiom ({axiom}) fails: {detail}")
+                raise UnicyclizerAxiomError(axiom, f"unicyclizer axiom ({axiom}) fails: {detail}", axioms)
         raise InternalError("unicyclizer passes check_axioms but its coordinates are rank deficient")
     # c_i = det[e_i | P] = (-1)^i det(P^T without column i). With f the one free column, the signed
     # pivot minor is d = det(P^T without column f), and Cramer's rule gives the others.

@@ -192,7 +192,7 @@ VALIDATE_PINNED = [
 @pytest.mark.parametrize("document, code, stdout", VALIDATE_PINNED, ids=["valid", "axiom1", "axiom2", "axiom3"])
 def test_validate_output_is_pinned_and_evaluates_axioms_only_on_failure(tmp_path, capsys, monkeypatch, document, code, stdout):
     # A valid document, then one failing each axiom: the build proves a valid
-    # unicyclizer, so check_axioms runs only to name a failure.
+    # unicyclizer, so check_axioms runs only to name a failure, and then once.
     path = tmp_path / "doc.json"
     path.write_text(document)
     calls = []
@@ -200,7 +200,7 @@ def test_validate_output_is_pinned_and_evaluates_axioms_only_on_failure(tmp_path
     monkeypatch.setattr(winding, "check_axioms", lambda g, partial: calls.append(g) or evaluate(g, partial))
     assert main(["validate", str(path)]) == code
     assert capsys.readouterr().out == stdout
-    assert bool(calls) == (code == 1)
+    assert len(calls) == (code == 1)
 
 
 def test_validate_disconnected_graph_is_input_error(tmp_path, capsys):

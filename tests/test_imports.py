@@ -1,4 +1,4 @@
-"""Each CLI command loads only the hx modules it runs, and the package resolves its exports lazily."""
+"""Each CLI command loads only the hx modules it runs, and the package itself loads none."""
 
 import json
 import os
@@ -67,12 +67,10 @@ def test_winding_of_a_non_cycle_loads_fractions(tmp_path):
     assert not loaded & (NEVER | {"hx.verify"})
 
 
-def test_exports_are_the_submodules_objects():
-    for name in hx.__all__:
-        value = getattr(hx, name)
-        assert value.__module__.startswith("hx.")
-        assert getattr(sys.modules[value.__module__], name) is value
-        assert vars(hx)[name] is value  # resolved once, then cached on the package
+def test_the_package_loads_no_submodule_and_exports_no_library_name():
+    # Library names are imported from their submodules; the package holds no table of them.
+    code = "import hx\nassert not hasattr(hx, 'new_unicyclization'), dir(hx)"
+    assert {m for m in loaded_modules(code) if m.split(".")[0] == "hx"} == {"hx"}
 
 
 def test_unknown_names_raise_attribute_error():
