@@ -11,7 +11,7 @@ edges; the dense incidence matrix is built only where a matrix is wanted.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import DimensionError, NotConnectedError
 from .intlinalg import IntMatrix
@@ -47,25 +47,6 @@ class Multigraph(namedtuple("Multigraph", ("vertex_count", "edges"))):
     def check_edge(self, edge: int) -> None:
         if not (0 <= edge < len(self.edges)):
             raise ValueError(f"invalid edge id {edge} (graph has {len(self.edges)} edges)")
-
-
-class EdgeRelabeling(NamedTuple):
-    """Id maps from a graph onto its deletion or contraction.
-
-    ``edges`` maps each surviving old edge id to its new id; ``vertices``
-    does the same for vertex ids. Edge ids absent from the map were removed.
-    """
-
-    edges: dict[int, int]
-    vertices: dict[int, int]
-    new_edge_count: int
-
-    def transport_chain(self, chain: Sequence) -> tuple:
-        """Re-index a 1-chain, dropping coefficients of removed edges."""
-        out = [0] * self.new_edge_count
-        for old, new in self.edges.items():
-            out[new] = chain[old]
-        return tuple(out)
 
 
 def incidence_matrix(g: Multigraph) -> IntMatrix:
@@ -150,20 +131,13 @@ def spanning_subgraph_connected(g: Multigraph, edge_ids) -> bool:
     return _spans(g.vertex_count, [edges[e] for e in edge_ids])
 
 
-def delete(g: Multigraph, edge: int) -> tuple[Multigraph, EdgeRelabeling]:
-    """Remove one edge; vertices are untouched."""
+def delete(g: Multigraph, edge: int) -> Multigraph:
+    """Remove one edge; vertices are untouched and later edges move down one id."""
     g.check_edge(edge)
-    new_edges = tuple(e for i, e in enumerate(g.edges) if i != edge)
-    edge_map = {old: (old if old < edge else old - 1) for old in range(g.edge_count) if old != edge}
-    relabeling = EdgeRelabeling(
-        edges=edge_map,
-        vertices={v: v for v in range(g.vertex_count)},
-        new_edge_count=g.edge_count - 1,
-    )
-    return Multigraph(g.vertex_count, new_edges), relabeling
+    return Multigraph(g.vertex_count, g.edges[:edge] + g.edges[edge + 1 :])
 
 
-def contract(g: Multigraph, edge: int) -> tuple[Multigraph, EdgeRelabeling]:
+def contract(g: Multigraph, edge: int) -> Multigraph:
     """Contract one edge, merging its endpoints (the lower id survives).
 
     Contracting a loop is deletion with no vertex changes.
@@ -171,12 +145,13 @@ def contract(g: Multigraph, edge: int) -> tuple[Multigraph, EdgeRelabeling]:
     return contract_edges(g, (edge,))
 
 
-def contract_edges(g: Multigraph, edge_ids) -> tuple[Multigraph, EdgeRelabeling]:
+def contract_edges(g: Multigraph, edge_ids) -> Multigraph:
     """Contract a whole edge subset at once (loops in the subset just vanish).
 
     All vertices touched by the subset collapse to one vertex per connected
     piece of the subset; surviving vertices are renumbered in increasing
-    order of their smallest original member.
+    order of their smallest original member, and surviving edges keep their
+    order.
     """
     removed = set(edge_ids)
     for e in removed:
@@ -190,20 +165,8 @@ def contract_edges(g: Multigraph, edge_ids) -> tuple[Multigraph, EdgeRelabeling]
     roots = [_find(parent, v) for v in range(g.vertex_count)]
     reps = sorted(set(roots))
     rep_index = {rep: i for i, rep in enumerate(reps)}
-    vertex_map = {v: rep_index[root] for v, root in enumerate(roots)}
-    new_edges = []
-    edge_map = {}
-    for old, (a, b) in enumerate(g.edges):
-        if old in removed:
-            continue
-        edge_map[old] = len(new_edges)
-        new_edges.append((vertex_map[a], vertex_map[b]))
-    relabeling = EdgeRelabeling(
-        edges=edge_map,
-        vertices=vertex_map,
-        new_edge_count=len(new_edges),
-    )
-    return Multigraph(len(reps), tuple(new_edges)), relabeling
+    new_id = [rep_index[root] for root in roots]
+    return Multigraph(len(reps), tuple((new_id[a], new_id[b]) for e, (a, b) in enumerate(g.edges) if e not in removed))
 
 
 def corank(g: Multigraph) -> int:

@@ -194,8 +194,8 @@ def verify_counts(g: Multigraph, cap: int | None = None) -> VerificationReport:
         Check("matrix_tree", len(trees) == k, str(len(trees)), str(k)),
     ]
     for edge in range(g.edge_count):
-        deleted, _ = delete(g, edge)
-        contracted, _ = contract(g, edge)
+        deleted = delete(g, edge)
+        contracted = contract(g, edge)
         k_del = tree_number(deleted) if is_connected(deleted) else 0
         k_con = tree_number(contracted)  # contracting an edge keeps the graph connected
         through = sum(1 for y in all_cycletrees if edge in y.edge_ids)

@@ -15,7 +15,7 @@ elimination and the enumerated sums are kept in ``verify`` as the oracles.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import DimensionError, InternalError, UnicyclizerAxiomError
 from .graphs import (
@@ -30,7 +30,6 @@ from .graphs import (
 )
 from .intlinalg import (
     IntMatrix,
-    det,
     dot,
     gcd_of_vector,
     mat_vec,
@@ -50,6 +49,7 @@ from .spanning import (
     tree_number,
     _cotree,
     _cycle_projection,
+    _tree_cycle,
 )
 
 # fractions and complexes are imported by the few functions that use them, so
@@ -71,10 +71,10 @@ class Unicyclization(
     increasing id: a cycle's coefficients there are its coordinates in the
     tree's fundamental basis, which ``verify.basis_cycles`` builds. The winding
     of a cycle z is the determinant det[coords(z) | P] against the
-    unicyclizer's coordinates P, times ``orientation`` (+1 or -1). Any two
-    Z-bases of the cycle lattice differ by a change of determinant +-1, so
-    contraction and deletion re-base onto a tree of the new graph and record
-    the sign here. That determinant is linear in z, so it is stored as
+    unicyclizer's coordinates P, times ``orientation`` (+1 or -1).
+    Contraction and deletion build on a tree of the new graph and set the
+    sign here from the parent's winding of one lifted basis cycle. The
+    determinant is linear in z, so it is stored as
     ``covector``, c_i = w(b_i) with the orientation folded in: every winding is
     c . coords(z). Expanding det[e_i | P] along its first column, c_i is +-P's
     maximal minor without row i, so all of c is read off one elimination of
@@ -113,7 +113,6 @@ class Unicyclization(
 
 class WindingReport(NamedTuple):
     value: int | Fraction
-    chain: tuple
     is_cycle: bool
 
 
@@ -138,8 +137,10 @@ def check_axioms(g: Multigraph, partial: IntMatrix) -> list[tuple[int, bool, str
     ]
 
 
-def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unicyclization:
-    non_tree_edges, _ = _cotree(g, tree)
+def _assemble(
+    g: Multigraph, partial: IntMatrix, tree, parent_winding: Callable[[list[int]], int] | None = None
+) -> Unicyclization:
+    non_tree_edges, up = _cotree(g, tree)
     m = len(non_tree_edges)
     # Once the columns are cycles, reading coordinates at the non-tree edges is injective on them, so
     # m - 1 pivots of P^T, for P the coordinates, is axioms 1 and 3; check_axioms only names a failure.
@@ -158,6 +159,13 @@ def _assemble(g: Multigraph, partial: IntMatrix, tree, orientation: int) -> Unic
     ((f, v),) = kernel
     del reading, kernel  # they hold the elimination's rows: free them before the Laplacian's
     v.insert(f, d)  # v held the entries at the pivot columns, every column but f
+    # Unoriented, the basis cycle at the free column winds (-1)^f d != 0; the parent's winding of it is the sign.
+    orientation = 1
+    if parent_winding is not None:
+        w, unoriented = parent_winding(_tree_cycle(g, up, non_tree_edges[f])), (-1) ** f * d
+        if abs(w) != abs(unoriented):
+            raise InternalError(f"a basis cycle winds {w} times in the parent, expected +-{abs(unoriented)}")
+        orientation = w // unoriented
     sign = orientation * (-1) ** f
     covector = tuple(sign * x for x in v)
     x = dict(zip(non_tree_edges, covector))  # a chain whose product with a cycle is its winding
@@ -172,7 +180,7 @@ def new_unicyclization(g: Multigraph, partial: IntMatrix, basis_tree=None) -> Un
     tree, making all derived outputs reproducible.
     """
     tree = lexmin_spanning_tree(g) if basis_tree is None else basis_tree
-    return _assemble(g, partial, tree, 1)
+    return _assemble(g, partial, tree)
 
 
 def face_lattice_basis(faces: IntMatrix) -> IntMatrix:
@@ -313,7 +321,7 @@ def standard_harmonic_cycle_grouped(a: Unicyclization, cap: int | None = None) -
     cycles = list(dict.fromkeys(ct.cycle for ct in cycletrees(a.graph, cap)))
     weights = []
     for cycle in cycles:
-        contracted, _ = contract_edges(a.graph, [e for e, c in enumerate(cycle) if c])
+        contracted = contract_edges(a.graph, [e for e, c in enumerate(cycle) if c])
         weights.append(tree_number(contracted) * _covector_winding(a, cycle))
     return tuple(mat_vec(_from_columns(cycles, a.graph.edge_count), weights))
 
@@ -356,30 +364,25 @@ def contract_unicyclization(a: Unicyclization, edge: int) -> Unicyclization:
 
     The cycle space maps isomorphically onto the contraction's by dropping
     the edge's coordinate, and winding numbers of transported cycles are
-    preserved exactly. The basis is that of the lexmin tree T' of the
-    contraction. T' lifted back plus the edge is a spanning tree of the
-    parent, whose fundamental cycles transport onto that basis, so the new
-    orientation is the parent's times the determinant of their coordinates
-    in the parent's basis.
+    preserved exactly. So the unicyclizer downstairs is the parent's without
+    the edge's row, on the lexmin tree of the contraction, and its
+    orientation makes one basis cycle, lifted back with the coefficient at
+    the edge that closes it, wind as it does in the parent.
     """
     g = a.graph
     g.check_edge(edge)
     if g.is_loop(edge):
         raise ValueError("cannot contract a loop")
-    contracted, relabeling = contract(g, edge)
-    old_edge = {new: old for old, new in relabeling.edges.items()}
-    tree = lexmin_spanning_tree(contracted)
-    lifted = fundamental_basis(g, {old_edge[e] for e in tree} | {edge})
+    head = g.edges[edge][1]
+
+    def parent_winding(z: list[int]) -> int:
+        lift = z[:edge] + [0] + z[edge:]  # later edges moved down one id
+        lift[edge] = -boundary(g, lift)[head]
+        return winding_number(a, lift)
+
+    contracted = contract(g, edge)
     partial_c = a.partial.select_rows([e for e in range(g.edge_count) if e != edge])
-    return _assemble(contracted, partial_c, tree, a.orientation * _basis_change_sign(a, lifted.cycles))
-
-
-def _basis_change_sign(a: Unicyclization, cycles) -> int:
-    """Determinant of the cycles' coordinates in the instance's basis, which is +-1 for a Z-basis."""
-    sign = det(_from_columns([[z[e] for e in a.non_tree_edges] for z in cycles], a.cycle_rank))
-    if sign not in (1, -1):
-        raise InternalError(f"change of cycle basis has determinant {sign}, expected +-1")
-    return sign
+    return _assemble(contracted, partial_c, lexmin_spanning_tree(contracted), parent_winding)
 
 
 def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization, int]:
@@ -390,12 +393,11 @@ def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization,
     coefficient at the edge, its winding number equals n times the winding
     number of the transported cycle downstairs.
 
-    The basis comes from the lexmin spanning tree of the smaller graph,
-    whose fundamental cycles in the parent, with the deleted edge's cycle
-    last, form a basis there. The unicyclizer coordinates in that basis are
-    column-reduced so the deleted edge's row becomes (0, ..., 0, n). The
-    new orientation is the parent's times the signs of the change of basis
-    and of the column reduction, so the relation holds exactly.
+    Column operations of determinant 1 (``_clear_row``) turn the edge's row
+    of the unicyclizer into (0, ..., 0, +-n). The other columns then avoid
+    the edge, and without its row they are the unicyclizer downstairs, on
+    the lexmin tree of the smaller graph. Its orientation makes one basis
+    cycle, lifted back with 0 at the edge, wind n times as much in the parent.
     """
     g = a.graph
     g.check_edge(edge)
@@ -404,28 +406,20 @@ def delete_unicyclization(a: Unicyclization, edge: int) -> tuple[Unicyclization,
         raise ValueError(
             "unicyclizer row at the edge is zero: deleting it would kill the free homology factor"
         )
-    smaller, relabeling = delete(g, edge)
-    old_edge = {new: old for old, new in relabeling.edges.items()}
-    tree = lexmin_spanning_tree(smaller)
-    cycle_basis = fundamental_basis(g, {old_edge[e] for e in tree})
-    chain_by_edge = dict(zip(cycle_basis.non_tree_edges, cycle_basis.cycles))
-    order = [e for e in cycle_basis.non_tree_edges if e != edge] + [edge]
-    ordered_chains = [chain_by_edge[e] for e in order]
-    eps = _basis_change_sign(a, ordered_chains)
+    columns = [a.partial.column(j) for j in range(a.partial.cols)]
+    _clear_row(columns, edge)
+    if abs(columns[-1][edge]) != n_sigma:
+        raise InternalError(f"column reduction left {columns[-1][edge]} at the deleted edge, expected +-{n_sigma}")
 
-    columns = [[a.partial[e, j] for e in order] for j in range(a.partial.cols)]
-    last = a.cycle_rank - 1
-    _clear_row(columns, last)
-    det_u = -1 if columns[-1][last] < 0 else 1
-    columns[-1] = [det_u * v for v in columns[-1]]
-    if columns[-1][last] != n_sigma:
-        raise InternalError(f"column reduction left {columns[-1][last]} at the deleted edge, expected {n_sigma}")
+    def parent_winding(z: list[int]) -> int:
+        w = winding_number(a, z[:edge] + [0] + z[edge:])  # later edges moved down one id
+        if w % n_sigma:
+            raise InternalError(f"a cycle avoiding the deleted edge winds {w} times, not a multiple of {n_sigma}")
+        return w // n_sigma
 
-    transported = [relabeling.transport_chain(z) for z in ordered_chains[:-1]]
-    top_coords = _from_columns([col[:last] for col in columns[:-1]], last)
-    partial_d = _from_columns(transported, smaller.edge_count) @ top_coords
-    deleted = _assemble(smaller, partial_d, tree, a.orientation * det_u * eps)
-    return deleted, n_sigma
+    smaller = delete(g, edge)
+    partial_d = _from_columns([col[:edge] + col[edge + 1 :] for col in columns[:-1]], smaller.edge_count)
+    return _assemble(smaller, partial_d, lexmin_spanning_tree(smaller), parent_winding), n_sigma
 
 
 def extended_winding(a: Unicyclization, chain: Sequence) -> Fraction:
@@ -448,7 +442,7 @@ def winding_report(a: Unicyclization, chain: Sequence) -> WindingReport:
         value: int | Fraction = winding_number(a, chain)
     else:
         value = extended_winding(a, chain)
-    return WindingReport(value=value, chain=tuple(chain), is_cycle=is_cycle)
+    return WindingReport(value=value, is_cycle=is_cycle)
 
 
 def harmonic_to_unicyclizer(

@@ -1,5 +1,7 @@
-"""Each CLI command loads only the hx modules it runs, and the package itself loads none."""
+"""Each CLI command loads only the hx modules it runs, and the package itself loads none;
+no hx module imports a name it never reads."""
 
+import ast
 import json
 import os
 import subprocess
@@ -79,3 +81,35 @@ def test_unknown_names_raise_attribute_error():
     from hx import verify  # a submodule, not an export: found by the import system
 
     assert verify is sys.modules["hx.verify"]
+
+
+def _annotation_names(node: ast.AST):
+    """Names read by an annotation, including one written as a string."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval")
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # Annotations count as reads, also under TYPE_CHECKING and from __future__ import annotations.
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "hx").glob("*.py"))
+    assert paths
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.arg) and node.annotation is not None:
+                read |= _annotation_names(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+                read |= _annotation_names(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                read |= _annotation_names(node.annotation)
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert not unused

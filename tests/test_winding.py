@@ -143,7 +143,7 @@ def test_grouped_coefficient_counts_cycletrees_sharing_a_cycle():
     a = new_unicyclization(g, IntMatrix.from_columns([[1, -1, 0, 0], [0, 1, -1, 0]]))
     loop_cycle = (0, 0, 0, 1)
     sharing = [ct for ct in cycletrees(g) if ct.cycle == loop_cycle]
-    contracted, _ = contract_edges(g, [3])
+    contracted = contract_edges(g, [3])
     assert len(sharing) == tree_number(contracted) == 3
     assert standard_harmonic_cycle_grouped(a) == standard_harmonic_cycle(a)
 
@@ -193,7 +193,7 @@ def test_contract_preserves_windings():
 def test_contract_bridge_preserves_windings():
     g = Multigraph(4, ((0, 1), (1, 2), (2, 0), (2, 3)))
     a = new_unicyclization(g, IntMatrix.zero(4, 0))
-    assert not is_connected(delete(g, 3)[0])
+    assert not is_connected(delete(g, 3))
     contracted = contract_unicyclization(a, 3)
     for z in basis_cycles(a):
         transported = tuple(c for e, c in enumerate(z) if e != 3)
@@ -466,6 +466,25 @@ def test_from_cw_bands_match_the_oracles(twist, rim_windings):
     assert verify_harmonicity(a).overall and verify_inner_product(a).overall
     assert homology_group(x, 1) == (1, ())
     assert [abs(winding_number(a, rim)) for rim in rims] == rim_windings
+
+
+@pytest.mark.parametrize("twist", [False, True], ids=["annulus", "moebius"])
+def test_band_minors_keep_windings_past_the_small_family(twist):
+    # E = 80 and m = 49: contraction keeps every basis cycle's winding, and deletion
+    # scales the winding of each basis cycle downstairs, lifted with 0 at the edge, by n.
+    a = from_cw(band_complex(8, 3, twist)[0])
+    assert a.graph.edge_count == 80 and a.cycle_rank == 49
+    deleted = 0
+    for edge in range(0, a.graph.edge_count, 7):
+        contracted = contract_unicyclization(a, edge)
+        for z in basis_cycles(a):
+            assert winding_number(contracted, z[:edge] + z[edge + 1 :]) == winding_number(a, z)
+        if winding_difference(a, edge):
+            smaller, n = delete_unicyclization(a, edge)
+            for z in basis_cycles(smaller):
+                assert winding_number(a, z[:edge] + (0,) + z[edge:]) == n * winding_number(smaller, z)
+            deleted += 1
+    assert deleted
 
 
 def test_select_independent_columns():
