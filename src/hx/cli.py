@@ -73,11 +73,11 @@ def _rational(value) -> str:
 
 
 def _cmd_validate(doc, args) -> tuple[dict, int]:
-    from .documents import build_graph, unicyclizer_columns
+    from .documents import unicyclizer_columns
     from .graphs import corank
     from .winding import AXIOMS_HOLD, new_unicyclization
 
-    g = build_graph(doc)
+    g = doc.graph
     cycle_rank = corank(g)  # refuses a disconnected graph before the faces are reduced
     partial = unicyclizer_columns(doc)
     try:  # a successful build proves all three axioms; only a failed one has them evaluated, once
@@ -95,23 +95,21 @@ def _cmd_validate(doc, args) -> tuple[dict, int]:
 
 
 def _cmd_trees(doc, args) -> tuple[dict, int]:
-    from .documents import build_graph
     from .spanning import spanning_trees, tree_number
 
-    g = build_graph(doc)
-    payload: dict = {"k": tree_number(g)}
+    payload: dict = {"k": tree_number(doc.graph)}
     if args.list_trees:
-        payload["trees"] = (tree for tree in spanning_trees(g, args.cap))
+        payload["trees"] = (tree for tree in spanning_trees(doc.graph, args.cap))
     return payload, 0
 
 
 def _cmd_cycletrees(doc, args) -> tuple[dict, int]:
-    from .documents import build_graph, build_unicyclization, unicyclizer_columns
+    from .documents import build_unicyclization, unicyclizer_columns
     from .graphs import corank
     from .spanning import check_enumeration_cap, cycletrees
     from .winding import cycletree_windings
 
-    g = build_graph(doc)
+    g = doc.graph
     # A tree has no cycletrees: with the empty unicyclizer, however the document writes it, the list is empty.
     if corank(g) == 0 and unicyclizer_columns(doc).cols == 0:
         return {"count": 0, "cycletrees": []}, 0
@@ -127,11 +125,10 @@ def _cmd_cycletrees(doc, args) -> tuple[dict, int]:
 
 def _cmd_homology(doc, args) -> tuple[dict, int]:
     from .complexes import graph_homology
-    from .documents import build_graph
 
     faces = doc.faces if doc.faces is not None else doc.unicyclizer
     try:
-        group = graph_homology(build_graph(doc), faces, args.dim)
+        group = graph_homology(doc.graph, faces, args.dim)
     except DimensionError as exc:  # the document's faces are not cycles, or --dim is out of range
         raise DocumentError(str(exc)) from exc
     return {"dim": args.dim, "rank": group.rank, "torsion": list(group.torsion)}, 0
@@ -156,8 +153,8 @@ def _cmd_winding(doc, args) -> tuple[dict, int]:
         chain = tuple(int(part.strip()) for part in args.chain.split(","))
     except ValueError as exc:
         raise DocumentError(f"--chain: expected comma-separated integers: {exc}") from exc
-    if len(chain) != len(doc.edges):
-        raise DocumentError(f"--chain: expected {len(doc.edges)} coefficients, got {len(chain)}")
+    if len(chain) != doc.graph.edge_count:
+        raise DocumentError(f"--chain: expected {doc.graph.edge_count} coefficients, got {len(chain)}")
     report = winding_report(build_unicyclization(doc), chain)
     return {"value": _rational(report.value), "cycle": report.is_cycle}, 0
 
@@ -166,8 +163,8 @@ def _cmd_split(doc, args) -> tuple[dict, int]:
     from .documents import build_unicyclization
     from .winding import split_standard_cycle
 
-    if not 0 <= args.edge < len(doc.edges):
-        raise DocumentError(f"invalid edge id {args.edge} (graph has {len(doc.edges)} edges)")
+    if not 0 <= args.edge < doc.graph.edge_count:
+        raise DocumentError(f"invalid edge id {args.edge} (graph has {doc.graph.edge_count} edges)")
     with_edge, without_edge = split_standard_cycle(build_unicyclization(doc), args.edge)
     if not args.raw_sign:
         # Flip both parts together so they still sum to the reported lambda.
@@ -179,7 +176,7 @@ def _cmd_split(doc, args) -> tuple[dict, int]:
 
 
 def _cmd_verify(doc, args) -> tuple[dict, int]:
-    from .documents import build_graph, build_unicyclization
+    from .documents import build_unicyclization
     from .spanning import check_enumeration_cap
     from .verify import DEFAULT_SEED, verify_counts, verify_energy_min, verify_harmonicity, verify_inner_product
 
@@ -190,15 +187,14 @@ def _cmd_verify(doc, args) -> tuple[dict, int]:
     if args.run_all or not names:
         names = list(VERIFY_CHECKS)
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    g = build_graph(doc)
     instance = None
     if set(names) - {"counts"}:
-        check_enumeration_cap(g, args.cap)
+        check_enumeration_cap(doc.graph, args.cap)
         instance = build_unicyclization(doc)
     reports = []
     for name in names:
         if name == "counts":
-            reports.append(verify_counts(g, args.cap))
+            reports.append(verify_counts(doc.graph, args.cap))
         elif name == "inner_product":
             reports.append(verify_inner_product(instance, seed=seed, cap=args.cap))
         elif name == "harmonicity":
@@ -227,7 +223,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    # argparse matches verify's checks together with the file, as empty when an option
+    # follows it, and leaves the check names after that option over.
+    if args.command == "verify" and not any(token.startswith("-") for token in extra):
+        args.checks, extra = args.checks + extra, []
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         from .documents import read_document
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionError
 from .graphs import Multigraph, _forest, are_cycles
-from .intlinalg import IntMatrix, _kernel_vectors, kernel_basis, mat_vec, rank, smith_diagonal, vstack
+from .intlinalg import IntMatrix, kernel_basis, mat_vec, rank, smith_diagonal, vstack
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -104,30 +104,24 @@ def harmonic_basis(x: ChainComplex, i: int) -> list[tuple[int, ...]]:
 def homology_group(x: ChainComplex, i: int) -> HomologyGroup:
     """Free rank and torsion of the i-th integral homology group.
 
-    The cycles are a direct summand of the chains, because the boundaries
-    one dimension down form a free group; so the torsion of H_i is the
-    torsion of the cokernel of the (i+1)-st boundary, read off its Smith
-    diagonal. One elimination of the i-th boundary often gives the cycles
-    a Z-basis: when its pivot minor d divides every entry of its kernel
-    vectors, those with a single free column set to 1 are integral, and a
-    cycle's coordinates are its entries at the free columns (this always
-    holds for an incidence matrix, which is totally unimodular). The Smith
-    form then runs on those rows of the (i+1)-st boundary only. Zero rows
-    change no invariant factor and are dropped first.
+    rank H_i = dim C_i - rank d_i - rank d_{i+1}. The cycles are a direct
+    summand of the chains, because the boundaries one dimension down form a
+    free group; so the torsion of H_i is the torsion of the cokernel of the
+    (i+1)-st boundary, its invariant factors above 1 (Munkres, *Elements of
+    Algebraic Topology*, §11).
     """
     x.check_dim(i)
-    down = x.boundary(i)
-    pivots, d, kernel = _kernel_vectors(down.to_rows(), down.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(down.cols) if c not in pivot_set]
     up = x.boundary(i + 1)
-    if all(e % d == 0 for _, v in kernel for e in v):
-        up = up.select_rows(free)
-    diag = smith_diagonal(up.select_rows([r for r in range(up.rows) if any(up.row(r))]))
-    return HomologyGroup(
-        rank=len(free) - len(diag),
-        torsion=tuple(v for v in diag if v > 1),
-    )
+    return _cokernel(up, range(up.rows), x.dims[i] - rank(x.boundary(i)))
+
+
+def _cokernel(up: IntMatrix, rows, cycle_rank: int) -> HomologyGroup:
+    """H_i from the rank of the cycles and the boundaries, the columns of up
+    at the given rows: coordinates in a free group that has the cycles as a
+    direct summand, so the torsion is the invariant factors above 1. Zero
+    rows change no invariant factor and are dropped before the Smith diagonal."""
+    diag = smith_diagonal(up.select_rows([r for r in rows if any(up.row(r))]))
+    return HomologyGroup(rank=cycle_rank - len(diag), torsion=tuple(v for v in diag if v > 1))
 
 
 def graph_homology(g: Multigraph, faces: IntMatrix | None, i: int) -> HomologyGroup:
@@ -151,11 +145,10 @@ def graph_homology(g: Multigraph, faces: IntMatrix | None, i: int) -> HomologyGr
     outside = [e for e in range(g.edge_count) if e not in forest]
     if faces is None:
         return HomologyGroup(rank=len(outside), torsion=())
-    reduced = faces.select_rows([e for e in outside if any(faces.row(e))])
-    if i == 2:
-        return HomologyGroup(rank=faces.cols - rank(reduced), torsion=())
-    diag = smith_diagonal(reduced)
-    return HomologyGroup(rank=len(outside) - len(diag), torsion=tuple(v for v in diag if v > 1))
+    if i == 2:  # zero rows change no rank, and dropping them spares their elimination
+        nonzero = [e for e in outside if any(faces.row(e))]
+        return HomologyGroup(rank=faces.cols - rank(faces.select_rows(nonzero)), torsion=())
+    return _cokernel(faces, outside, len(outside))
 
 
 def energy(coeffs: Sequence) -> int | Fraction:

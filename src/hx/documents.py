@@ -63,8 +63,7 @@ MAX_ENTRY_BITS = 64
 
 
 class ComplexDocument(NamedTuple):
-    vertices: int
-    edges: tuple[tuple[int, int], ...]
+    graph: Multigraph
     unicyclizer: IntMatrix | None
     faces: IntMatrix | None
     basis_tree: tuple[int, ...] | None
@@ -136,6 +135,7 @@ def document_from_obj(obj) -> ComplexDocument:
         if not (0 <= tail < vertices and 0 <= head < vertices):
             raise DocumentError(f"edges[{idx}]: endpoints ({tail}, {head}) out of range 0..{vertices - 1}")
         edges.append((tail, head))
+    graph = Multigraph(vertices, tuple(edges))
     if "unicyclizer" in obj and "faces" in obj:
         raise DocumentError("provide at most one of 'unicyclizer' and 'faces'")
     unicyclizer = faces = None
@@ -157,17 +157,11 @@ def document_from_obj(obj) -> ComplexDocument:
         from .spanning import _cotree
 
         try:
-            _cotree(Multigraph(vertices, tuple(edges)), ids)
+            _cotree(graph, ids)
         except ValueError as exc:
             raise DocumentError(f"basis_tree: {exc}") from exc
         basis_tree = tuple(sorted(ids))
-    return ComplexDocument(
-        vertices=vertices,
-        edges=tuple(edges),
-        unicyclizer=unicyclizer,
-        faces=faces,
-        basis_tree=basis_tree,
-    )
+    return ComplexDocument(graph=graph, unicyclizer=unicyclizer, faces=faces, basis_tree=basis_tree)
 
 
 def parse_document(text: str) -> ComplexDocument:
@@ -194,10 +188,6 @@ def read_document(path) -> ComplexDocument:
     return parse_document(text)
 
 
-def build_graph(doc: ComplexDocument) -> Multigraph:
-    return Multigraph(doc.vertices, doc.edges)
-
-
 def unicyclizer_columns(doc: ComplexDocument) -> IntMatrix:
     """The document's unicyclizer: explicit, a basis of the faces' lattice, or empty."""
     if doc.faces is not None:
@@ -206,10 +196,10 @@ def unicyclizer_columns(doc: ComplexDocument) -> IntMatrix:
         return face_lattice_basis(doc.faces)
     if doc.unicyclizer is not None:
         return doc.unicyclizer
-    return IntMatrix.zero(len(doc.edges), 0)
+    return IntMatrix.zero(doc.graph.edge_count, 0)
 
 
 def build_unicyclization(doc: ComplexDocument) -> Unicyclization:
     from .winding import new_unicyclization
 
-    return new_unicyclization(build_graph(doc), unicyclizer_columns(doc), basis_tree=doc.basis_tree)
+    return new_unicyclization(doc.graph, unicyclizer_columns(doc), basis_tree=doc.basis_tree)

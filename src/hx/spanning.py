@@ -43,17 +43,6 @@ class Cycletree(NamedTuple):
     cycle: tuple[int, ...]
 
 
-class CycleBasis(NamedTuple):
-    """The fundamental cycles of a spanning tree; the caller keeps the graph and tree.
-
-    ``cycles[i]`` is the unique cycle through non-tree edge
-    ``non_tree_edges[i]``, oriented with coefficient +1 on that edge.
-    """
-
-    non_tree_edges: tuple[int, ...]
-    cycles: tuple[tuple[int, ...], ...]
-
-
 def check_enumeration_cap(g: Multigraph, cap: int | None) -> None:
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if g.edge_count > limit:
@@ -62,19 +51,12 @@ def check_enumeration_cap(g: Multigraph, cap: int | None) -> None:
         )
 
 
-@lru_cache(maxsize=1)
-def _spanning_trees_cached(g: Multigraph) -> tuple[tuple[int, ...], ...]:
-    non_loops = [e for e in range(g.edge_count) if not g.is_loop(e)]
-    return tuple(
-        combo for combo in combinations(non_loops, g.vertex_count - 1) if spanning_subgraph_connected(g, combo)
-    )
-
-
 def spanning_trees(g: Multigraph, cap: int | None = None) -> list[tuple[int, ...]]:
     """All spanning trees as ascending edge-id tuples, in lexicographic order."""
     require_connected(g)
     check_enumeration_cap(g, cap)
-    return list(_spanning_trees_cached(g))
+    non_loops = [e for e in range(g.edge_count) if not g.is_loop(e)]
+    return [combo for combo in combinations(non_loops, g.vertex_count - 1) if spanning_subgraph_connected(g, combo)]
 
 
 def lexmin_spanning_tree(g: Multigraph) -> frozenset[int]:
@@ -224,8 +206,8 @@ def _cotree(g: Multigraph, tree) -> tuple[tuple[int, ...], list]:
     return tuple(e for e in range(g.edge_count) if e not in tree), up
 
 
-def fundamental_basis(g: Multigraph, tree) -> CycleBasis:
-    """Fundamental cycles of the non-tree edges, in increasing edge id: walks up the tree ``_cotree`` roots."""
+def fundamental_basis(g: Multigraph, tree) -> tuple[tuple[int, ...], ...]:
+    """Fundamental cycles of the non-tree edges, in increasing edge id, each +1
+    at its own non-tree edge and 0 at the others: walks up the tree ``_cotree`` roots."""
     non_tree, up = _cotree(g, tree)
-    cycles = tuple(tuple(_tree_cycle(g, up, e)) for e in non_tree)
-    return CycleBasis(non_tree_edges=non_tree, cycles=cycles)
+    return tuple(tuple(_tree_cycle(g, up, e)) for e in non_tree)

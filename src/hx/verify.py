@@ -60,7 +60,7 @@ def describe_instance(a: Unicyclization) -> str:
 
 def basis_cycles(a: Unicyclization) -> tuple[tuple[int, ...], ...]:
     """The fundamental cycles at ``a.non_tree_edges``, in order: the instance's basis, built on each call."""
-    return fundamental_basis(a.graph, set(range(a.graph.edge_count)).difference(a.non_tree_edges)).cycles
+    return fundamental_basis(a.graph, set(range(a.graph.edge_count)).difference(a.non_tree_edges))
 
 
 def _random_cycle(rng: random.Random, cycles) -> tuple[int, ...]:
@@ -313,8 +313,7 @@ def exhaustive_family(
         if m == 1:
             yield g, IntMatrix.zero(g.edge_count, 0)
             continue
-        basis = fundamental_basis(g, lexmin_spanning_tree(g))
-        basis_matrix = _from_columns(basis.cycles, g.edge_count)
+        basis_matrix = _from_columns(fundamental_basis(g, lexmin_spanning_tree(g)), g.edge_count)
         emitted: set[IntMatrix] = set()
         attempts = 0
         while len(emitted) < per_graph and attempts < 50 * per_graph:

@@ -42,7 +42,6 @@ from .intlinalg import (
     _smith_modulo,
 )
 from .spanning import (
-    check_enumeration_cap,
     cycletrees,
     fundamental_basis,
     lexmin_spanning_tree,
@@ -308,7 +307,7 @@ def standard_harmonic_cycle(a: Unicyclization) -> tuple[int, ...]:
     return a.standard_cycle
 
 
-def standard_harmonic_cycle_grouped(a: Unicyclization, cap: int | None = None) -> tuple[int, ...]:
+def standard_harmonic_cycle_grouped(a: Unicyclization) -> tuple[int, ...]:
     """The same chain, assembled cycle by cycle.
 
     Cycletrees sharing a unique cycle are grouped; each distinct cycle
@@ -317,8 +316,7 @@ def standard_harmonic_cycle_grouped(a: Unicyclization, cap: int | None = None) -
     nontrivial identity because the group sizes are recounted here via the
     matrix-tree determinant of the contracted graph.
     """
-    check_enumeration_cap(a.graph, cap)
-    cycles = list(dict.fromkeys(ct.cycle for ct in cycletrees(a.graph, cap)))
+    cycles = list(dict.fromkeys(ct.cycle for ct in cycletrees(a.graph)))
     weights = []
     for cycle in cycles:
         contracted = contract_edges(a.graph, [e for e, c in enumerate(cycle) if c])
@@ -476,7 +474,7 @@ def harmonic_to_unicyclizer(
         if dot(chain, faces.column(j)) != 0:
             raise ValueError(f"chain is not orthogonal to face column {j} (not harmonic)")
 
-    cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
+    cycles = fundamental_basis(g, lexmin_spanning_tree(g))
     m = len(cycles)
     u = _primitive([dot(z, chain) for z in cycles])
     columns = [[int(r == j) for r in range(m)] + [u[j]] for j in range(m)]

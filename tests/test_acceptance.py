@@ -113,8 +113,8 @@ def sigma_avoiding_cycles(a, sigma):
     trees_avoiding = [t for t in spanning_trees(a.graph) if sigma not in t]
     if not trees_avoiding:
         return list(basis_cycles(a))
-    basis = fundamental_basis(a.graph, trees_avoiding[0])
-    return [z for e, z in zip(basis.non_tree_edges, basis.cycles) if e != sigma]
+    # sigma is outside the tree, so only its own fundamental cycle goes through it.
+    return [z for z in fundamental_basis(a.graph, trees_avoiding[0]) if z[sigma] == 0]
 
 
 def test_criterion_4_exhaustive_family_theorems():

@@ -247,6 +247,39 @@ def test_verify_unknown_check(theta_file, capsys):
     assert code == 2 and "unknown" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--seed", "3", "counts", "energy"], ["counts", "--seed", "3", "energy"], ["counts", "energy", "--seed", "3"]],
+    ids=["option-first", "option-between", "option-last"],
+)
+def test_verify_takes_options_anywhere_among_the_checks(theta_file, capsys, argv):
+    assert main(["verify", theta_file, "counts", "energy", "--seed", "3"]) == 0
+    expected = capsys.readouterr().out
+    code, payload, _ = run(capsys, "verify", theta_file, *argv)
+    assert code == 0 and payload["seed"] == 3 and len(payload["reports"]) == 2
+    assert json.dumps(payload) + "\n" == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--seed", "3", "nonsense"], "hx: unknown checks ['nonsense']; available: inner_product, harmonicity, counts, energy\n"),
+        (["verify", "counts", "--bogus"], "hx: error: unrecognized arguments: --bogus\n"),
+        (["verify", "--bogus", "counts"], "hx: error: unrecognized arguments: --bogus counts\n"),
+        (["lambda", "counts"], "hx: error: unrecognized arguments: counts\n"),
+    ],
+    ids=["unknown-check-after-option", "unknown-option-after-check", "unknown-option-before-check", "other-command"],
+)
+def test_leftover_arguments_exit_2(theta_file, capsys, argv, message):
+    try:
+        code = main([argv[0], theta_file, *argv[1:]])
+    except SystemExit as exc:  # argparse's own usage errors exit from the parser
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.endswith(message)
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "lambda", "/nonexistent/path.json")
     assert code == 2 and err
@@ -522,7 +555,7 @@ def circulant_unicyclizer(n: int, seed: int) -> tuple[list[list[int]], list[list
     the fundamental cycles F and a random +-9 matrix M of full column rank."""
     edges = [[i, (i + step) % n] for i in range(n) for step in (1, 2)]
     g = Multigraph(n, tuple(map(tuple, edges)))
-    cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
+    cycles = fundamental_basis(g, lexmin_spanning_tree(g))
     m = len(cycles)
     rng = random.Random(seed)
     combo = IntMatrix.zero(m, m - 1)

@@ -53,12 +53,12 @@ def assert_matches_oracle(a):
 
 def random_unicyclizer(g, rng_entries):
     """Fundamental cycles times an m x (m-1) integer matrix, or None if it is rank deficient."""
-    basis = fundamental_basis(g, lexmin_spanning_tree(g))
-    m = len(basis.cycles)
+    cycles = fundamental_basis(g, lexmin_spanning_tree(g))
+    m = len(cycles)
     combo = IntMatrix(m, m - 1, tuple(rng_entries(m * (m - 1))))
     if rank(combo) < m - 1:
         return None
-    return IntMatrix.from_columns(basis.cycles, rows=g.edge_count) @ combo
+    return IntMatrix.from_columns(cycles, rows=g.edge_count) @ combo
 
 
 def contract_checked(a, edge):
@@ -158,7 +158,7 @@ def planted_torsion_instance(rng, n):
     """A circulant with 2n edges whose unicyclizer coordinates are U D V for
     unimodular U, V and D the m x (m - 1) diagonal of a random divisor chain."""
     g = Multigraph(n, tuple(e for i in range(n) for e in ((i, (i + 1) % n), (i, (i + 2) % n))))
-    cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
+    cycles = fundamental_basis(g, lexmin_spanning_tree(g))
     m = len(cycles)
     chain = [1]
     for _ in range(m - 2):
@@ -269,7 +269,7 @@ def gram_split(a, edge):
     smaller = delete(g, edge)
     if is_connected(smaller):
         basis = fundamental_basis(g, {e + (e >= edge) for e in lexmin_spanning_tree(smaller)})
-        cycles = [z for e, z in zip(basis.non_tree_edges, basis.cycles) if e != edge]
+        cycles = [z for z in basis if z[edge] == 0]  # the edge is outside the tree: only its own cycle has it
         _, without_edge = verify._weighted_cycle_sum(g.edge_count, cycles, [winding_number(a, z) for z in cycles])
     else:  # a bridge: every cycletree goes through it
         without_edge = (0,) * g.edge_count

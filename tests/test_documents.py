@@ -8,7 +8,6 @@ from hx.documents import (
     MAX_INCIDENCE_ENTRIES,
     MAX_VERTICES,
     ComplexDocument,
-    build_graph,
     build_unicyclization,
     parse_document,
     unicyclizer_columns,
@@ -22,11 +21,9 @@ THETA_DOC = '{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[1,-1,0]]}
 
 def test_parse_theta_document():
     doc = parse_document(THETA_DOC)
-    assert doc.vertices == 2
-    assert doc.edges == ((0, 1), (0, 1), (0, 1))
+    assert doc.graph == Multigraph(2, ((0, 1), (0, 1), (0, 1)))
     assert doc.unicyclizer == IntMatrix.from_columns([[1, -1, 0]])
     assert doc.faces is None and doc.basis_tree is None
-    assert build_graph(doc) == Multigraph(2, ((0, 1), (0, 1), (0, 1)))
 
 
 def test_parse_implicit_empty_unicyclizer():
@@ -64,12 +61,12 @@ def test_parse_rejects_bad_vertices():
         parse_document('{"vertices":true,"edges":[]}')
     with pytest.raises(DocumentError, match="above the limit"):
         parse_document(f'{{"vertices":{MAX_VERTICES + 1},"edges":[]}}')
-    assert parse_document(f'{{"vertices":{MAX_VERTICES},"edges":[]}}').vertices == MAX_VERTICES
+    assert parse_document(f'{{"vertices":{MAX_VERTICES},"edges":[]}}').graph.vertex_count == MAX_VERTICES
 
 
 def test_parse_bounds_the_edge_count():
     loops = [[0, 0]] * MAX_EDGES
-    assert len(parse_document(json.dumps({"vertices": 1, "edges": loops})).edges) == MAX_EDGES
+    assert len(parse_document(json.dumps({"vertices": 1, "edges": loops})).graph.edges) == MAX_EDGES
     with pytest.raises(DocumentError, match="above the limit"):
         parse_document(json.dumps({"vertices": 1, "edges": loops + [[0, 0]]}))
 
@@ -77,7 +74,7 @@ def test_parse_bounds_the_edge_count():
 def test_parse_bounds_the_incidence_entries():
     per_vertex = MAX_INCIDENCE_ENTRIES // MAX_VERTICES
     at_bound = {"vertices": MAX_VERTICES, "edges": [[0, 1]] * per_vertex}
-    assert len(parse_document(json.dumps(at_bound)).edges) == per_vertex
+    assert len(parse_document(json.dumps(at_bound)).graph.edges) == per_vertex
     for edges in (per_vertex + 1, 64):
         with pytest.raises(DocumentError, match="vertices x edges: .* above the limit"):
             parse_document(json.dumps({"vertices": MAX_VERTICES, "edges": [[0, 1]] * edges}))
@@ -148,7 +145,7 @@ def test_round_trip_documents():
     ]
     for text in samples:
         doc = parse_document(text)
-        obj = {"vertices": doc.vertices, "edges": [list(e) for e in doc.edges]}
+        obj = {"vertices": doc.graph.vertex_count, "edges": [list(e) for e in doc.graph.edges]}
         for key in ("unicyclizer", "faces"):
             if getattr(doc, key) is not None:
                 m = getattr(doc, key)
@@ -174,5 +171,5 @@ def test_basis_tree_changes_basis():
 
 
 def test_document_equality_is_structural():
-    doc = ComplexDocument(2, ((0, 1),), None, None, None)
-    assert doc == ComplexDocument(2, ((0, 1),), None, None, None)
+    doc = ComplexDocument(Multigraph(2, ((0, 1),)), None, None, None)
+    assert doc == ComplexDocument(Multigraph(2, ((0, 1),)), None, None, None)

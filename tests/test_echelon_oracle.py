@@ -189,7 +189,7 @@ def same_column_lattice(a: IntMatrix, b: IntMatrix) -> bool:
 def face_matrices(rng):
     """Random integer combinations of each small graph's fundamental cycles, plus the shapes above."""
     for g in connected_multigraphs(4, 6):
-        cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
+        cycles = fundamental_basis(g, lexmin_spanning_tree(g))
         for _ in range(6):
             columns = []
             for _ in range(rng.randint(0, 4)):
@@ -230,7 +230,7 @@ def test_face_lattice_basis_of_many_faces_stays_small():
     # without reduction modulo d, the basis entries grow to over 200 bits.
     n = 25
     g = Multigraph(n, tuple(e for i in range(n) for e in ((i, (i + 1) % n), (i, (i + 2) % n))))
-    cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
+    cycles = fundamental_basis(g, lexmin_spanning_tree(g))
     combo = random_matrix(random.Random(2), len(cycles), 2 * len(cycles))
     faces = IntMatrix.from_columns(cycles, rows=g.edge_count) @ combo
     basis = face_lattice_basis(faces)

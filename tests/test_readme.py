@@ -24,7 +24,7 @@ COMMANDS = [line for line in _block_after("Commands, with the theta document", "
 
 def test_the_readme_shows_the_documented_examples():
     assert json.loads(THETA)["edges"] == [[0, 1], [0, 1], [0, 1]]
-    assert len(COMMANDS) == 10
+    assert len(COMMANDS) == 11
 
 
 @pytest.mark.parametrize("line", COMMANDS, ids=[line.split("#")[0].strip() for line in COMMANDS])

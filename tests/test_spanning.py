@@ -11,7 +11,6 @@ from hx.intlinalg import IntMatrix, det, mat_vec
 from hx.spanning import (
     GRAPH_CACHE_SIZE,
     _cycletrees_cached,
-    _spanning_trees_cached,
     cycletrees,
     fundamental_basis,
     lexmin_spanning_tree,
@@ -130,20 +129,17 @@ def test_unique_cycle_rejects_non_cycletree():
 
 
 def test_fundamental_basis_theta():
-    basis = fundamental_basis(THETA, {0})
-    assert basis.non_tree_edges == (1, 2)
-    assert basis.cycles == ((-1, 1, 0), (-1, 0, 1))
+    # One cycle per non-tree edge, 1 and 2: +1 at its own, 0 at the other.
+    assert fundamental_basis(THETA, {0}) == ((-1, 1, 0), (-1, 0, 1))
 
 
 def test_fundamental_basis_of_tree_is_empty():
-    basis = fundamental_basis(path_graph(3), {0, 1})
-    assert basis.cycles == ()
+    assert fundamental_basis(path_graph(3), {0, 1}) == ()
 
 
 def test_fundamental_basis_with_loop():
     g = Multigraph(2, ((0, 1), (1, 1)))
-    basis = fundamental_basis(g, {0})
-    assert basis.cycles == ((0, 1),)
+    assert fundamental_basis(g, {0}) == ((0, 1),)
 
 
 def test_fundamental_basis_rejects_non_tree():
@@ -154,15 +150,16 @@ def test_fundamental_basis_rejects_non_tree():
 def test_express_reconstruction_round_trip():
     rng = random.Random(5)
     for g in connected_multigraphs(4, 5):
-        basis = fundamental_basis(g, lexmin_spanning_tree(g))
-        m = len(basis.cycles)
+        tree = lexmin_spanning_tree(g)
+        cycles = fundamental_basis(g, tree)
+        non_tree = [e for e in range(g.edge_count) if e not in tree]
         for _ in range(5):
-            coeffs = tuple(rng.randint(-4, 4) for _ in range(m))
+            coeffs = tuple(rng.randint(-4, 4) for _ in range(len(cycles)))
             chain = [0] * g.edge_count
-            for c, z in zip(coeffs, basis.cycles):
+            for c, z in zip(coeffs, cycles):
                 for e, v in enumerate(z):
                     chain[e] += c * v
-            assert tuple(chain[e] for e in basis.non_tree_edges) == coeffs
+            assert tuple(chain[e] for e in non_tree) == coeffs
 
 
 def all_connected_multigraphs_labeled(max_vertices, max_edges):
@@ -213,13 +210,12 @@ def test_graph_caches_are_bounded():
     # The enumeration caches keep the graph in hand only, since one graph's
     # enumeration can take megabytes; the caches of a number per graph keep
     # the GRAPH_CACHE_SIZE graphs used last.
-    enumerations = (_spanning_trees_cached, _cycletrees_cached, connected_multigraphs)
+    enumerations = (_cycletrees_cached, connected_multigraphs)
     scalars = (tree_number, _cycletree_count_or_zero)
     kinds = ((0, 1), (1, 0), (0, 0), (1, 1))
     for i in range(GRAPH_CACHE_SIZE + 8):
         # A distinct cheap graph per i: an edge 0-1 plus seven edges chosen by the base-4 digits of i.
         g = Multigraph(2, ((0, 1),) + tuple(kinds[(i >> (2 * d)) & 3] for d in range(7)))
-        spanning_trees(g)
         cycletrees(g)
         tree_number(g)
         connected_multigraphs(0, i)
@@ -244,7 +240,6 @@ def test_long_lived_loop_retains_one_graphs_enumeration():
         g = Multigraph(3, tuple(edges))
         if g not in graphs:
             graphs.append(g)
-    _spanning_trees_cached.cache_clear()
     _cycletrees_cached.cache_clear()
     tracemalloc.start()
     try:
@@ -353,7 +348,7 @@ def random_spanning_tree(rng, g):
 def test_fundamental_basis_matches_tree_path_oracle_family():
     for g in connected_multigraphs(4, 5):
         for tree in spanning_trees(g):
-            assert fundamental_basis(g, tree).cycles == fundamental_cycles_by_paths(g, tree)
+            assert fundamental_basis(g, tree) == fundamental_cycles_by_paths(g, tree)
 
 
 def test_fundamental_basis_matches_tree_path_oracle_random_trees():
@@ -365,7 +360,7 @@ def test_fundamental_basis_matches_tree_path_oracle_random_trees():
         rng.shuffle(edges)
         g = Multigraph(n, tuple((h, t) if rng.random() < 0.5 else (t, h) for t, h in edges))
         tree = random_spanning_tree(rng, g)
-        assert fundamental_basis(g, tree).cycles == fundamental_cycles_by_paths(g, tree)
+        assert fundamental_basis(g, tree) == fundamental_cycles_by_paths(g, tree)
 
 
 @pytest.mark.parametrize(

@@ -62,7 +62,7 @@ def circulant_instance(n, seed):
     cycles F and a seeded +-2 matrix M of full column rank."""
     edges = tuple((i, (i + step) % n) for i in range(n) for step in (1, 2))
     g = Multigraph(n, edges)
-    cycles = fundamental_basis(g, lexmin_spanning_tree(g)).cycles
+    cycles = fundamental_basis(g, lexmin_spanning_tree(g))
     m = len(cycles)
     rng = random.Random(seed)
     combo = IntMatrix.zero(m, m - 1)
