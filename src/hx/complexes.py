@@ -145,9 +145,8 @@ def graph_homology(g: Multigraph, faces: IntMatrix | None, i: int) -> HomologyGr
     outside = [e for e in range(g.edge_count) if e not in forest]
     if faces is None:
         return HomologyGroup(rank=len(outside), torsion=())
-    if i == 2:  # zero rows change no rank, and dropping them spares their elimination
-        nonzero = [e for e in outside if any(faces.row(e))]
-        return HomologyGroup(rank=faces.cols - rank(faces.select_rows(nonzero)), torsion=())
+    if i == 2:
+        return HomologyGroup(rank=faces.cols - rank(faces.select_rows(outside)), torsion=())
     return _cokernel(faces, outside, len(outside))
 
 

@@ -200,15 +200,23 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
     With row[c] = 0 the step only scales the row by p / prev, which is put
     off (Lee and Saunders, J. Symbolic Comput. 19, 1995): a row last updated
     at pivot s divides by s, not prev, and is scaled by prev / s as a pivot.
+    A zero row is never updated and never a pivot, so at the first column
+    without a pivot the rows with a nonzero entry are counted, once, and the
+    walk over the columns stops when each of them holds a pivot.
     """
     nrows = len(rows)
     scale = [1] * nrows  # the pivot each row was last updated at
     pivots: list[int] = []
     prev = 1
     r = 0
+    live = None  # the pivot rows and the nonzero rows below them, once counted
     for c in range(ncols if nrows else 0):
         i = next((i for i in range(r, nrows) if rows[i][c]), None)
         if i is None:
+            if live is None:
+                live = r + sum(map(any, rows[r:]))
+            if r == live:
+                break
             continue
         top, s = rows[i], scale[i]
         rows[i], scale[i] = rows[r], scale[r]
@@ -218,7 +226,7 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
         p = top[c]
         pivots.append(c)
         r += 1
-        if r == nrows:
+        if r == nrows or r == live:
             return rows, pivots, p
         for i in range(r, nrows):
             f = rows[i][c]
@@ -341,9 +349,10 @@ def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
 
     ``_kernel_vectors`` of the wider of m and m^T exposes r x r minors, d
     and the kernel vectors' entries, whose gcd D is a multiple of d_1 ...
-    d_r (for m x (m - 1) of full rank, the gcd of all maximal minors). The
-    columns of m and of D I span a lattice with invariant factors (d_1, ...,
-    d_r, D, ..., D), whose Smith form runs with every entry reduced mod D
+    d_r (for m x (m - 1) of full rank, the gcd of all maximal minors: a
+    unicyclizer's torsion order, and with D = 1 no elimination step runs).
+    The columns of m and of D I span a lattice with invariant factors (d_1,
+    ..., d_r, D, ..., D), whose Smith form runs with every entry reduced mod D
     (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, *A Course
     in Computational Algebraic Number Theory*, 2.4). The pivot is the last
     entry: ``_clear_row`` clears its row, and while the pivot does not
@@ -359,15 +368,8 @@ def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
         if modulus == 1:
             break
         modulus = math.gcd(modulus, *x)
-    return _smith_modulo(m, len(pivots), modulus)
-
-
-def _smith_modulo(m: IntMatrix, r: int, modulus: int) -> tuple[int, ...]:
-    """The invariant factors of m, of rank r, by the Smith form modulo a
-    positive multiple of each of them, see ``smith_diagonal``; a modulus of
-    1 needs no elimination."""
-    if modulus == 1:
-        return (1,) * r
+    if modulus == 1:  # every factor divides 1: no elimination
+        return (1,) * len(pivots)
     vectors = [[x % modulus for x in m.column(j)] for j in range(m.cols)]
     diagonal = []
     while vectors and vectors[0]:
@@ -382,4 +384,4 @@ def _smith_modulo(m: IntMatrix, r: int, modulus: int) -> tuple[int, ...]:
         for j in range(i + 1, len(diagonal)):
             a, b = diagonal[i], diagonal[j]
             diagonal[i], diagonal[j] = math.gcd(a, b), math.lcm(a, b)
-    return tuple(diagonal[:r])
+    return tuple(diagonal[: len(pivots)])

@@ -227,26 +227,20 @@ def verify_energy_min(a: Unicyclization, trials: int = 100, seed: int = DEFAULT_
     base = energy(lam)
     rng = random.Random(seed)
     cols = a.partial.cols
-    orthogonal = 0
-    minimal = 0
-    strict = 0
-    first_failure = ""
+    names = ("orthogonal_to_boundaries", "energy_minimal", "equality_iff_zero_boundary")
+    passed = [0] * len(names)
+    failing = [None] * len(names)  # each check's first failing y
     for _ in range(trials):
         y = [rng.randint(-3, 3) for _ in range(cols)]
         v = mat_vec(a.partial, y)
         perturbed = energy([l + w for l, w in zip(lam, v)])
-        ortho = dot(lam, v) == 0
-        le = base <= perturbed
-        eq_iff = (perturbed == base) == (not any(v))
-        orthogonal += ortho
-        minimal += le
-        strict += eq_iff
-        if not (ortho and le and eq_iff) and not first_failure:
-            first_failure = f"y={y}"
-    checks = (
-        Check("orthogonal_to_boundaries", orthogonal == trials, f"{orthogonal}/{trials}", f"{trials}/{trials}"),
-        Check("energy_minimal", minimal == trials, f"{minimal}/{trials}", f"{trials}/{trials}"),
-        Check("equality_iff_zero_boundary", strict == trials, f"{strict}/{trials}", f"{trials}/{trials}" + first_failure),
+        for i, ok in enumerate((dot(lam, v) == 0, base <= perturbed, (perturbed == base) == (not any(v)))):
+            passed[i] += ok
+            if not ok and failing[i] is None:
+                failing[i] = y
+    checks = tuple(
+        Check(name, n == trials, f"{n}/{trials}", f"{trials}/{trials}" + ("" if y is None else f"; first failing y={y}"))
+        for name, n, y in zip(names, passed, failing)
     )
     return VerificationReport(describe_instance(a), checks)
 

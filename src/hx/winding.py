@@ -39,7 +39,6 @@ from .intlinalg import (
     _kernel_vectors,
     _matrix,
     _primitive,
-    _smith_modulo,
 )
 from .spanning import (
     cycletrees,
@@ -267,18 +266,6 @@ def cycle_coordinates(a: Unicyclization, chain: Sequence[int]) -> tuple[int, ...
 def winding_number(a: Unicyclization, chain: Sequence[int]) -> int:
     """The winding covector dotted with the cycle's coordinates."""
     return dot(a.covector, cycle_coordinates(a, chain))
-
-
-def torsion(a: Unicyclization) -> tuple[int, tuple[int, ...]]:
-    """Torsion order of the first homology, with its invariant factors.
-
-    The factors are the Smith form's diagonal of the unicyclizer's
-    coordinates, computed here on each call: nothing else needs them. The
-    torsion order is their product, so the Smith form runs modulo it, and
-    a torsion-free instance needs no elimination.
-    """
-    order = a.torsion_order
-    return order, _smith_modulo(a.partial.select_rows(a.non_tree_edges), a.cycle_rank - 1, order)
 
 
 def _covector_winding(a: Unicyclization, cycle: Sequence[int]) -> int:

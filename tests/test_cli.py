@@ -452,10 +452,44 @@ def test_enumeration_cap_checked_before_build(tmp_path, capsys):
     edges = [[i, (i + d) % 10] for i in range(10) for d in (1, 2)]
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"vertices": 10, "edges": edges, "unicyclizer": [[1] + [0] * 19]}))
-    for argv in (["cycletrees"], ["verify", "harmonicity"]):
+    for argv in (["cycletrees"], ["verify", "inner_product"], ["verify", "counts"]):
         code, _, err = run(capsys, argv[0], str(path), *argv[1:])
         assert code == 2
-        assert "enumeration cap" in err and "axiom" not in err
+        assert err == "hx: graph has 20 edges, enumeration cap is 16\n"
+    # Nothing in harmonicity enumerates, so the build runs and names the failing axiom.
+    code, payload, err = run(capsys, "verify", str(path), "harmonicity")
+    assert code == 2 and payload is None
+    assert err == "hx: unicyclizer axiom (2) fails: incidence times unicyclizer is nonzero\n"
+
+
+def test_cap_option_refuses_and_admits(tmp_path, capsys, theta_file):
+    for argv in (["trees", "--list"], ["cycletrees"], ["verify", "counts"]):
+        code, payload, err = run(capsys, argv[0], theta_file, *argv[1:], "--cap", "2")
+        assert code == 2 and payload is None
+        assert err == "hx: graph has 3 edges, enumeration cap is 2\n"
+    path = tmp_path / "cycle-17.json"
+    path.write_text(json.dumps({"vertices": 17, "edges": [[i, (i + 1) % 17] for i in range(17)], "unicyclizer": []}))
+    admitted = {
+        ("trees", "--list"): lambda payload: len(payload["trees"]) == payload["k"] == 17,
+        ("cycletrees",): lambda payload: payload["count"] == 1,
+        ("verify", "counts"): lambda payload: payload["overall"] is True,
+        ("verify", "inner_product"): lambda payload: payload["overall"] is True,
+    }
+    for argv, holds in admitted.items():
+        code, payload, err = run(capsys, argv[0], str(path), *argv[1:], "--cap", "17")
+        assert code == 0 and err == "" and holds(payload), argv
+
+
+def test_checks_that_enumerate_nothing_run_past_the_cap(tmp_path, capsys):
+    edges, columns = circulant_unicyclizer(10, 3)
+    path = tmp_path / "circulant-20.json"
+    path.write_text(json.dumps({"vertices": 10, "edges": edges, "unicyclizer": columns}))
+    code, payload, err = run(capsys, "verify", str(path), "harmonicity", "energy")
+    assert code == 0 and err == "" and payload["overall"] is True
+    # A tree has no cycletrees, whatever its size.
+    path = tmp_path / "path-20.json"
+    path.write_text(json.dumps({"vertices": 21, "edges": [[i, i + 1] for i in range(20)]}))
+    assert run(capsys, "cycletrees", str(path)) == (0, {"count": 0, "cycletrees": []}, "")
 
 
 @pytest.mark.parametrize("failure", [InternalError("Gram determinant 4 != tree count 3"), AssertionError("bug")])

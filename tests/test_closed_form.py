@@ -26,7 +26,6 @@ from hx.winding import (
     new_unicyclization,
     split_standard_cycle,
     standard_harmonic_cycle,
-    torsion,
     winding_difference,
     winding_number,
 )
@@ -48,7 +47,7 @@ def assert_matches_oracle(a):
     coords = a.partial.select_rows(a.non_tree_edges)
     snf = smith_normal_form(sympy.Matrix(coords.rows, coords.cols, list(coords.entries)), domain=sympy.ZZ)
     diag = tuple(abs(int(snf[i, i])) for i in range(coords.cols))
-    assert torsion(a) == (math.prod(diag), diag)
+    assert intlinalg.smith_diagonal(coords) == diag and a.torsion_order == math.prod(diag)
 
 
 def random_unicyclizer(g, rng_entries):
@@ -138,8 +137,7 @@ def test_covector_matches_determinant_windings(a):
     assert a.torsion_order == math.gcd(*a.covector)
     # The covector gcd is an oracle for the Smith diagonal, which runs modulo
     # a maximal minor that can be far larger than the torsion order.
-    order, factors = torsion(a)
-    assert order == a.torsion_order
+    factors = intlinalg.smith_diagonal(a.partial.select_rows(a.non_tree_edges))
     assert len(factors) == a.cycle_rank - 1 and math.prod(factors) == a.torsion_order
 
 
@@ -168,14 +166,15 @@ def planted_torsion_instance(rng, n):
     return new_unicyclization(g, IntMatrix.from_columns(cycles, rows=g.edge_count) @ coords), tuple(chain[: m - 1])
 
 
-def test_torsion_runs_modulo_the_torsion_order(monkeypatch):
-    # The factors are those of the Smith form modulo a maximal minor, which
-    # homology runs, on random and on planted-torsion instances.
+def test_smith_diagonal_of_coordinates_runs_modulo_the_torsion_order(monkeypatch):
+    # The factors are those of the Smith form modulo the gcd of the maximal
+    # minors, the torsion order, on random and on planted-torsion instances.
     rng = random.Random(15)
     instances = [new_unicyclization(g, partial) for g, partial in exhaustive_family(4, 6, 3, per_graph=2)]
     for n in range(2, 13):
         a, planted = planted_torsion_instance(rng, n)
-        assert torsion(a) == (math.prod(planted), planted)
+        assert intlinalg.smith_diagonal(a.partial.select_rows(a.non_tree_edges)) == planted
+        assert a.torsion_order == math.prod(planted)
         instances.append(a)
         partial = None
         while partial is None:
@@ -183,13 +182,14 @@ def test_torsion_runs_modulo_the_torsion_order(monkeypatch):
         instances.append(new_unicyclization(a.graph, partial))
     assert {a.torsion_order == 1 for a in instances} == {True, False}
     for a in instances:
-        coords = a.partial.select_rows(a.non_tree_edges)
-        assert torsion(a) == (a.torsion_order, intlinalg.smith_diagonal(coords))
+        diagonal = intlinalg.smith_diagonal(a.partial.select_rows(a.non_tree_edges))
+        assert a.torsion_order == math.prod(diagonal)
+        assert complexes.graph_homology(a.graph, a.partial, 1).torsion == tuple(v for v in diagonal if v > 1)
     # Torsion-free instances take no elimination step.
     monkeypatch.setattr(intlinalg, "_clear_row", None)
     for a in instances:
         if a.torsion_order == 1:
-            assert torsion(a) == (1, (1,) * (a.cycle_rank - 1))
+            assert intlinalg.smith_diagonal(a.partial.select_rows(a.non_tree_edges)) == (1,) * (a.cycle_rank - 1)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

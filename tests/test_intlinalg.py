@@ -169,6 +169,32 @@ def test_echelon_final_pivot_is_signed_determinant():
         assert d == det(m) == perm_det(m)
     assert swapped > 50
 
+
+class CountingRow(list):
+    """A row list that counts its indexed reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        CountingRow.reads += 1
+        return super().__getitem__(index)
+
+
+def test_elimination_stops_once_every_nonzero_row_holds_a_pivot():
+    # Zero rows are never pivots: the search of the first column without a
+    # pivot is the last read of them, however many columns follow.
+    CountingRow.reads = 0
+    rows, pivots, d = _bareiss([CountingRow([0] * 1000) for _ in range(3)], 1000)
+    assert (pivots, d, CountingRow.reads) == ([], 1, 3)
+    assert all(not any(row) for row in rows)
+    CountingRow.reads = 0
+    _, pivots, d = _bareiss([CountingRow([0] * 1000), CountingRow([0, 0, 5] + [1] * 997)], 1000)
+    assert (pivots, d) == ([2], -5) and CountingRow.reads < 10  # the swapped-in pivot row is negated
+    # A row that becomes zero only during the elimination counts as nonzero, and the rank stays right.
+    assert _bareiss([[1, 2, 3], [2, 4, 6], [0, 0, 0]], 3)[1] == [0]
+    assert _bareiss([[0, 1, 0, 0], [0, 2, 0, 1], [0, 0, 0, 0]], 4)[1] == [1, 3]
+
+
 def test_gcd_of_vector():
     assert gcd_of_vector((4, -6)) == 2
     assert gcd_of_vector((0, 0, 0)) == 0

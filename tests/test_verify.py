@@ -136,6 +136,19 @@ def test_energy_min_reports():
     assert "equality_iff_zero_boundary" in names
 
 
+def test_energy_min_attaches_each_failure_to_its_check(monkeypatch):
+    # lambda + (1, 0, 0) is off the boundary of y (1, -1, 0) by y: not orthogonal
+    # for y != 0, still minimal as 2 y (y + 1) >= 0, but equal at y = -1.
+    a = theta_instance()
+    lam = a.standard_cycle
+    monkeypatch.setattr(verify, "standard_harmonic_cycle", lambda _: (lam[0] + 1,) + lam[1:])
+    orthogonal, minimal, equality = verify_energy_min(a, trials=20).checks
+    assert not orthogonal.passed and orthogonal.rhs.startswith("20/20; first failing y=[")
+    assert orthogonal.rhs != "20/20; first failing y=[0]"
+    assert minimal.passed and minimal.rhs == "20/20"
+    assert not equality.passed and equality.rhs == "20/20; first failing y=[-1]"
+
+
 def test_report_json_shape():
     payload = verify_harmonicity(theta_instance()).to_json()
     assert set(payload) == {"instance", "overall", "checks"}
