@@ -18,12 +18,15 @@ import os
 import sys
 from types import GeneratorType
 
-from .errors import DimensionError, DocumentError, EnumerationCapError, NotConnectedError, UnicyclizerAxiomError
+from .errors import DimensionError, DocumentError, NotConnectedError, UnicyclizerAxiomError
 
 # Each command handler imports the library functions it calls, so a process
 # loads only the modules its command runs.
 
 VERIFY_CHECKS = ("inner_product", "harmonicity", "counts", "energy")
+# Most edges of a graph whose trees or cycletrees a command enumerates, unless
+# --cap says otherwise: their number grows exponentially with the edges.
+DEFAULT_ENUMERATION_CAP = 16
 # Characters of output collected before one write to stdout: each write is a
 # system call when Python runs unbuffered.
 WRITE_CHUNK = 1 << 16
@@ -44,9 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", "check the unicyclizer axioms")
     trees = add("trees", "tree count, optionally the tree list")
     trees.add_argument("--list", action="store_true", dest="list_trees")
-    trees.add_argument("--cap", type=int, default=None)
+    trees.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     ct = add("cycletrees", "all cycletrees with oriented cycles and winding numbers")
-    ct.add_argument("--cap", type=int, default=None)
+    ct.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     hom = add("homology", "rank and torsion of a homology group")
     hom.add_argument("--dim", type=int, default=1)
     lam = add("lambda", "the standard harmonic cycle with tree count and torsion")
@@ -60,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("checks", nargs="*", help=f"subset of {', '.join(VERIFY_CHECKS)}")
     verify.add_argument("--all", action="store_true", dest="run_all")
     verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--cap", type=int, default=None)
+    verify.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     return parser
 
 
@@ -70,6 +73,12 @@ def _rational(value) -> str:
     from fractions import Fraction  # only a rational value loads fractions, and decimal behind it
 
     return str(Fraction(value))
+
+
+def _check_cap(doc, args) -> None:
+    """Refuse a graph above ``--cap``, before a command enumerates its trees or cycletrees."""
+    if doc.graph.edge_count > args.cap:
+        raise DocumentError(f"graph has {doc.graph.edge_count} edges, enumeration cap is {args.cap}")
 
 
 def _cmd_validate(doc, args) -> tuple[dict, int]:
@@ -99,7 +108,8 @@ def _cmd_trees(doc, args) -> tuple[dict, int]:
 
     payload: dict = {"k": tree_number(doc.graph)}
     if args.list_trees:
-        payload["trees"] = (tree for tree in spanning_trees(doc.graph, args.cap))
+        _check_cap(doc, args)
+        payload["trees"] = (tree for tree in spanning_trees(doc.graph))
     return payload, 0
 
 
@@ -113,11 +123,12 @@ def _cmd_cycletrees(doc, args) -> tuple[dict, int]:
     # A tree has no cycletrees: with the empty unicyclizer, however the document writes it, the list is empty.
     if corank(g) == 0 and unicyclizer_columns(doc).cols == 0:
         return {"count": 0, "cycletrees": []}, 0
-    found = cycletrees(g, args.cap)  # refuses a graph above the cap before the build
-    a = build_unicyclization(doc)
+    _check_cap(doc, args)
+    a = build_unicyclization(doc)  # refuses a unicyclizer that breaks an axiom before anything is enumerated
+    found = cycletrees(g)
     items = (
         {"edges": ct.edge_ids, "cycle": ct.cycle, "winding": w}
-        for ct, w in zip(found, cycletree_windings(a, args.cap))
+        for ct, w in zip(found, cycletree_windings(a))
     )
     return {"count": len(found), "cycletrees": items}, 0
 
@@ -176,7 +187,6 @@ def _cmd_split(doc, args) -> tuple[dict, int]:
 
 def _cmd_verify(doc, args) -> tuple[dict, int]:
     from .documents import build_unicyclization
-    from .spanning import check_enumeration_cap
     from .verify import DEFAULT_SEED, verify_counts, verify_energy_min, verify_harmonicity, verify_inner_product
 
     names = list(args.checks)
@@ -186,17 +196,15 @@ def _cmd_verify(doc, args) -> tuple[dict, int]:
     if args.run_all or not names:
         names = list(VERIFY_CHECKS)
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    instance = None
-    if set(names) - {"counts"}:
-        if {"inner_product", "counts"} & set(names):  # these enumerate: refuse a graph above the cap before the build
-            check_enumeration_cap(doc.graph, args.cap)
-        instance = build_unicyclization(doc)
+    if {"inner_product", "counts"} & set(names):  # these enumerate: refuse a graph above the cap before the build
+        _check_cap(doc, args)
+    instance = build_unicyclization(doc) if set(names) - {"counts"} else None
     reports = []
     for name in names:
         if name == "counts":
-            reports.append(verify_counts(doc.graph, args.cap))
+            reports.append(verify_counts(doc.graph))
         elif name == "inner_product":
-            reports.append(verify_inner_product(instance, seed=seed, cap=args.cap))
+            reports.append(verify_inner_product(instance, seed=seed))
         elif name == "harmonicity":
             reports.append(verify_harmonicity(instance))
         elif name == "energy":
@@ -238,7 +246,7 @@ def main(argv=None) -> int:
         payload, code = _COMMANDS[args.command](doc, args)
         _write(payload)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
-    except (DocumentError, UnicyclizerAxiomError, NotConnectedError, EnumerationCapError, OSError) as exc:
+    except (DocumentError, UnicyclizerAxiomError, NotConnectedError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             # Python flushes stdout again at exit: send what is left to devnull, as its docs on SIGPIPE advise.
             devnull = os.open(os.devnull, os.O_WRONLY)

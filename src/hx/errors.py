@@ -9,10 +9,6 @@ class NotConnectedError(ValueError):
     """The operation requires a connected graph."""
 
 
-class EnumerationCapError(RuntimeError):
-    """The edge count exceeds the configured enumeration cap."""
-
-
 class UnicyclizerAxiomError(ValueError):
     """A candidate unicyclizer violates one of the three defining axioms.
 

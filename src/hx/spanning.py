@@ -7,8 +7,8 @@ unique cycle is stored as a chain with coefficients in {-1, 0, +1},
 canonically oriented so the smallest cycle edge id gets +1.
 
 Enumeration works by filtering edge subsets of the right size, which is
-exact and deterministic at the intended scale; a configurable cap guards
-the exponential blowup.
+exact and deterministic on small graphs; its cost grows exponentially with
+the edge count, so the CLI bounds the graphs it enumerates (``--cap``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import EnumerationCapError, NotConnectedError
+from .errors import NotConnectedError
 from .graphs import (
     Multigraph,
     require_connected,
@@ -26,7 +26,6 @@ from .graphs import (
 )
 from .intlinalg import _kernel_vectors
 
-DEFAULT_ENUMERATION_CAP = 16
 # Graphs kept by `tree_number` and `verify._cycletree_count_or_zero`, least
 # recently used first out: on one family-sweep pass (seed 1), 64 keep 90%
 # of the tree-count hits and 89% of the cycletree-count hits of an unbounded
@@ -43,18 +42,9 @@ class Cycletree(NamedTuple):
     cycle: tuple[int, ...]
 
 
-def check_enumeration_cap(g: Multigraph, cap: int | None) -> None:
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if g.edge_count > limit:
-        raise EnumerationCapError(
-            f"graph has {g.edge_count} edges, enumeration cap is {limit}"
-        )
-
-
-def spanning_trees(g: Multigraph, cap: int | None = None) -> list[tuple[int, ...]]:
+def spanning_trees(g: Multigraph) -> list[tuple[int, ...]]:
     """All spanning trees as ascending edge-id tuples, in lexicographic order."""
     require_connected(g)
-    check_enumeration_cap(g, cap)
     non_loops = [e for e in range(g.edge_count) if not g.is_loop(e)]
     return [combo for combo in combinations(non_loops, g.vertex_count - 1) if spanning_subgraph_connected(g, combo)]
 
@@ -149,10 +139,9 @@ def _cycletrees_cached(g: Multigraph) -> tuple[Cycletree, ...]:
     return tuple(found)
 
 
-def cycletrees(g: Multigraph, cap: int | None = None) -> list[Cycletree]:
+def cycletrees(g: Multigraph) -> list[Cycletree]:
     """All cycletrees with canonically oriented cycles, in lexicographic order."""
     require_connected(g)
-    check_enumeration_cap(g, cap)
     return list(_cycletrees_cached(g))
 
 

@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 from .complexes import energy, harmonic_basis, laplacian
 from .errors import InternalError
 from .graphs import Multigraph, contract, corank, delete, is_connected, spanning_subgraph_connected
-from .intlinalg import IntMatrix, _from_columns, _kernel_vectors, _matrix, det, dot, mat_vec, rank
+from .intlinalg import IntMatrix, _from_columns, _kernel_vectors, _matrix, _primitive, det, dot, mat_vec, rank
 from .spanning import GRAPH_CACHE_SIZE, cycletrees, fundamental_basis, lexmin_spanning_tree, spanning_trees, tree_number
 from .winding import Unicyclization, cycle_coordinates, standard_harmonic_cycle
 
@@ -115,23 +115,21 @@ def _winding_weighted_sum(a: Unicyclization, trees) -> tuple[int, ...]:
     return tuple(mat_vec(_from_columns(list(counts), a.graph.edge_count), weights))
 
 
-def cycletree_sum(a: Unicyclization, cap: int | None = None) -> tuple[int, ...]:
+def cycletree_sum(a: Unicyclization) -> tuple[int, ...]:
     """The standard harmonic cycle by enumeration: the sum over all
     cycletrees of the unique cycle times its determinant winding number."""
-    return _winding_weighted_sum(a, cycletrees(a.graph, cap))
+    return _winding_weighted_sum(a, cycletrees(a.graph))
 
 
-def cycletree_split(a: Unicyclization, edge: int, cap: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def cycletree_split(a: Unicyclization, edge: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``cycletree_sum`` split by enumeration into the cycletrees through the edge and the rest."""
     a.graph.check_edge(edge)
-    trees = cycletrees(a.graph, cap)
+    trees = cycletrees(a.graph)
     through = _winding_weighted_sum(a, [ct for ct in trees if edge in ct.edge_ids])
     return through, _winding_weighted_sum(a, [ct for ct in trees if edge not in ct.edge_ids])
 
 
-def verify_inner_product(
-    a: Unicyclization, trials: int = 50, seed: int = DEFAULT_SEED, cap: int | None = None
-) -> VerificationReport:
+def verify_inner_product(a: Unicyclization, trials: int = 50, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Check cycle . lambda = winding(cycle) * tree count, over many cycles.
 
     Covers every cycletree cycle, every basis cycle, and seeded random
@@ -140,7 +138,7 @@ def verify_inner_product(
     that gives lambda, so the probes check lambda and, through it, that k.
     """
     rng = random.Random(seed)
-    probes = [(f"cycletree[{i}]", ct.cycle) for i, ct in enumerate(cycletrees(a.graph, cap))]
+    probes = [(f"cycletree[{i}]", ct.cycle) for i, ct in enumerate(cycletrees(a.graph))]
     cycles = basis_cycles(a)
     probes += [(f"basis[{i}]", z) for i, z in enumerate(cycles)]
     probes += [(f"random[{t}]", _random_cycle(rng, cycles)) for t in range(trials)]
@@ -162,11 +160,7 @@ def verify_harmonicity(a: Unicyclization) -> VerificationReport:
     coboundary_image = mat_vec(a.partial.transpose(), lam)
     laplacian_image = mat_vec(laplacian(x, 1), lam)
     basis = harmonic_basis(x, 1)
-    proportional = len(basis) == 1 and all(
-        basis[0][i] * lam[j] == basis[0][j] * lam[i]
-        for i in range(len(lam))
-        for j in range(i + 1, len(lam))
-    )
+    proportional = basis == [_primitive(lam)]  # both sides primitive, first nonzero entry positive; a zero lam matches no basis
     checks = (
         Check("cycle", all(v == 0 for v in boundary_image), str(boundary_image), "0"),
         Check("cocycle", all(v == 0 for v in coboundary_image), str(coboundary_image), "0"),
@@ -185,11 +179,11 @@ def _cycletree_count_or_zero(g: Multigraph) -> int:
     return sum(spanning_subgraph_connected(g, combo) for combo in combinations(range(g.edge_count), g.vertex_count))
 
 
-def verify_counts(g: Multigraph, cap: int | None = None) -> VerificationReport:
+def verify_counts(g: Multigraph) -> VerificationReport:
     """Check the deletion/contraction recursions for trees and cycletrees."""
-    trees = spanning_trees(g, cap)
+    trees = spanning_trees(g)
     k = tree_number(g)
-    all_cycletrees = cycletrees(g, cap)
+    all_cycletrees = cycletrees(g)
     checks = [
         Check("matrix_tree", len(trees) == k, str(len(trees)), str(k)),
     ]

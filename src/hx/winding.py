@@ -273,13 +273,13 @@ def _covector_winding(a: Unicyclization, cycle: Sequence[int]) -> int:
     return sum(c * cycle[e] for c, e in zip(a.covector, a.non_tree_edges))
 
 
-def cycletree_windings(a: Unicyclization, cap: int | None = None) -> tuple[int, ...]:
+def cycletree_windings(a: Unicyclization) -> tuple[int, ...]:
     """Winding numbers of the unique cycles, aligned with ``cycletrees``.
 
     Each is the winding covector dotted with the cycle's coefficients at the
     non-tree edges; ``verify.determinant_windings`` is the oracle.
     """
-    return tuple(_covector_winding(a, ct.cycle) for ct in cycletrees(a.graph, cap))
+    return tuple(_covector_winding(a, ct.cycle) for ct in cycletrees(a.graph))
 
 
 def standard_harmonic_cycle(a: Unicyclization) -> tuple[int, ...]:
@@ -438,12 +438,12 @@ def harmonic_to_unicyclizer(
     Returns a Z-basis of L, the lattice of integer cycles orthogonal to the
     chain h, with the rational scale relating h to the standard harmonic
     cycle it induces. With B the lexmin tree's fundamental basis, L is
-    B ker_Z(u) for u the primitive B^T h: clearing the last row of [I; u] by
-    ``_clear_row`` gives a unimodular U with uU = (0, ..., 0, g), so x is in
-    ker_Z(u) exactly when U^-1 x ends in 0, and U's first m - 1 columns
-    are a Z-basis of it. Negating one column flips every winding, so when the
-    basis has a column the scale is made positive. The faces only define
-    the complex in which h must be harmonic; each is in L by the checks.
+    B ker_Z(u) for u the primitive B^T h: clearing the last row of [B; u] by
+    ``_clear_row`` gives [BU; uU] for a unimodular U with uU = (0, ..., 0, g),
+    so x is in ker_Z(u) exactly when U^-1 x ends in 0, and BU's first m - 1
+    columns are a Z-basis of L. Negating one column flips every winding, so
+    when the basis has a column the scale is made positive. The faces only
+    define the complex in which h must be harmonic; each is in L by the checks.
     """
     from fractions import Fraction
 
@@ -462,11 +462,10 @@ def harmonic_to_unicyclizer(
             raise ValueError(f"chain is not orthogonal to face column {j} (not harmonic)")
 
     cycles = fundamental_basis(g, lexmin_spanning_tree(g))
-    m = len(cycles)
     u = _primitive([dot(z, chain) for z in cycles])
-    columns = [[int(r == j) for r in range(m)] + [u[j]] for j in range(m)]
-    _clear_row(columns, m)
-    lattice = _from_columns(cycles, g.edge_count) @ _from_columns([col[:m] for col in columns[:-1]], m)
+    columns = [[*z, u_j] for z, u_j in zip(cycles, u)]
+    _clear_row(columns, g.edge_count)
+    lattice = _from_columns([col[:-1] for col in columns[:-1]], g.edge_count)
     lam = standard_harmonic_cycle(new_unicyclization(g, lattice))
     pivot = next(e for e, c in enumerate(lam) if c != 0)
     scale = Fraction(chain[pivot], 1) / lam[pivot]

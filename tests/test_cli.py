@@ -462,6 +462,30 @@ def test_enumeration_cap_checked_before_build(tmp_path, capsys):
     assert err == "hx: unicyclizer axiom (2) fails: incidence times unicyclizer is nonzero\n"
 
 
+def test_cycletrees_validate_the_unicyclizer_before_enumerating(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "theta-axiom-2.json"
+    path.write_text('{"vertices":2,"edges":[[0,1],[0,1],[0,1]],"unicyclizer":[[1,0,0]]}')
+
+    def enumerated(g):
+        raise AssertionError("cycletrees enumerated before the build")
+
+    monkeypatch.setattr("hx.spanning.cycletrees", enumerated)
+    code, payload, err = run(capsys, "cycletrees", str(path))
+    assert code == 2 and payload is None
+    assert err == "hx: unicyclizer axiom (2) fails: incidence times unicyclizer is nonzero\n"
+
+
+def test_enumerating_checks_name_the_cap_on_a_disconnected_graph(tmp_path, capsys):
+    # 20 edges on vertices 0-9 and an isolated vertex 10.
+    edges = [[i, (i + d) % 10] for i in range(10) for d in (1, 2)]
+    path = tmp_path / "big-disconnected.json"
+    path.write_text(json.dumps({"vertices": 11, "edges": edges, "unicyclizer": []}))
+    for argv in (["counts"], ["inner_product"], ["--all"]):
+        code, payload, err = run(capsys, "verify", str(path), *argv)
+        assert code == 2 and payload is None, argv
+        assert err == "hx: graph has 20 edges, enumeration cap is 16\n", argv
+
+
 def test_cap_option_refuses_and_admits(tmp_path, capsys, theta_file):
     for argv in (["trees", "--list"], ["cycletrees"], ["verify", "counts"]):
         code, payload, err = run(capsys, argv[0], theta_file, *argv[1:], "--cap", "2")

@@ -355,7 +355,7 @@ def test_deletion_past_the_enumeration_cap():
     while partial is None:
         partial = random_unicyclizer(g, lambda size: [rng.randint(-2, 2) for _ in range(size)])
     a = new_unicyclization(g, partial)
-    cycles = {ct.cycle for ct in cycletrees(g, cap=g.edge_count)}
+    cycles = {ct.cycle for ct in cycletrees(g)}
     deleted = 0
     for edge in range(g.edge_count):
         n_sigma = winding_difference(a, edge)

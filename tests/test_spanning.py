@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from hx.errors import EnumerationCapError, NotConnectedError
+from hx.errors import NotConnectedError
 from hx.graphs import Multigraph, contract, delete, incidence_matrix, is_connected
 from hx.intlinalg import IntMatrix, det, mat_vec
 from hx.spanning import (
@@ -51,11 +51,9 @@ def test_spanning_trees_require_connected():
         spanning_trees(Multigraph(2, ()))
 
 
-def test_enumeration_cap():
-    g = Multigraph(2, tuple((0, 1) for _ in range(5)))
-    with pytest.raises(EnumerationCapError):
-        spanning_trees(g, cap=4)
-    assert len(spanning_trees(g, cap=5)) == 5
+def test_spanning_trees_past_the_cli_cap():
+    # The library enumerates any graph; only the CLI bounds the edges (--cap, default 16).
+    assert len(spanning_trees(cycle_graph(17))) == 17
 
 
 def test_tree_number_examples():

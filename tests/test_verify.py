@@ -109,6 +109,15 @@ def test_harmonicity_reports():
     assert verify_harmonicity(theta_instance((2, -2, 0))).overall
 
 
+@pytest.mark.parametrize("factor, spans", [(0, False), (2, True), (-1, True)])
+def test_spans_harmonic_space_needs_a_nonzero_multiple(monkeypatch, factor, spans):
+    a = theta_instance()
+    lam = verify.standard_harmonic_cycle(a)
+    monkeypatch.setattr(verify, "standard_harmonic_cycle", lambda a: tuple(factor * c for c in lam))
+    checks = {c.name: c.passed for c in verify_harmonicity(a).checks}
+    assert checks["spans_harmonic_space"] is spans
+
+
 def test_harmonicity_precondition_on_tree_graph():
     tree = Multigraph(3, ((0, 1), (1, 2)))
     with pytest.raises(UnicyclizerAxiomError):

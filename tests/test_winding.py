@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from hx.complexes import complex_from_boundaries, graph_homology, harmonic_basis, homology_group
-from hx.errors import DimensionError, EnumerationCapError, UnicyclizerAxiomError
+from hx.errors import DimensionError, UnicyclizerAxiomError
 from hx.graphs import Multigraph, contract_edges, delete, incidence_matrix, is_connected
 from hx.intlinalg import IntMatrix, dot, gcd_of_vector, mat_vec
 from hx.spanning import cycletrees, spanning_trees, tree_number
@@ -125,11 +125,12 @@ def test_cycletree_windings_theta():
     assert cycletree_windings(theta_instance()) == (0, -1, -1)
 
 
-def test_standard_cycle_respects_cap():
-    with pytest.raises(EnumerationCapError):
-        cycletree_sum(theta_instance(), cap=2)
-    with pytest.raises(EnumerationCapError):
-        cycletree_windings(theta_instance(), cap=2)
+def test_enumerated_sums_run_past_the_cli_cap():
+    a = cycle_instance(17)
+    (ct,) = cycletrees(a.graph)
+    assert a.covector in ((1,), (-1,))
+    assert cycletree_windings(a) == (dot(a.covector, cycle_coordinates(a, ct.cycle)),)
+    assert cycletree_sum(a) == a.standard_cycle
 
 
 def test_grouped_equals_plain_on_family():
